@@ -16,7 +16,9 @@ of the Euclidean-norm regularizers:
 
 Both adapt the working rank: components whose columns vanish (exactly for
 the proximal solver, below ``prune_tol`` for the quasi-Newton one) are
-removed as the iteration proceeds.
+removed as the iteration proceeds. Both, and the public helpers
+:func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
+evaluate the masked loss through one kernel built once per call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .core import (
     cp_reconstruct,
     khatri_rao,
-    masked_residual,
     spectral_norm_est,
     unfold,
     validate_factors,
@@ -111,6 +112,34 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
+class _Run:
+    """Aligned per-sweep traces of one solve, timed from construction, and
+    the :class:`SolveReport` assembled from them."""
+
+    def __init__(self):
+        self.start = time.perf_counter()
+        self.objective, self.rank, self.seconds = [], [], []
+
+    def record(self, objective, rank):
+        self.objective.append(objective)
+        self.rank.append(rank)
+        self.seconds.append(time.perf_counter() - self.start if self.seconds else 0.0)
+
+    def report(self, factors, shape, iterations, converged):
+        k = factors[0].shape[1]
+        return SolveReport(
+            recovered=cp_reconstruct(factors) if k else np.zeros(shape),
+            factors=factors,
+            final_rank=k,
+            objective_trace=self.objective,
+            iterations=iterations,
+            wall_time=time.perf_counter() - self.start,
+            converged=converged,
+            rank_trace=self.rank,
+            time_trace=self.seconds,
+        )
+
+
 def init_factors(shape, k, seed):
     """Draw factor matrices with standard normal entries and unit-norm
     columns. Deterministic for a fixed seed."""
@@ -127,16 +156,65 @@ def init_factors(shape, k, seed):
     return factors
 
 
+class _MaskedLoss:
+    """The smooth completion loss 0.5 * ||M * (D - CP(F))||_F^2.
+
+    Built once per solve from (data, mask): it holds the dense mask M, the
+    masked data D*M and their mode unfoldings, so that the loss value, the
+    gradient of one factor block and that block's curvature need no
+    further set-up. Both solvers and the public reference helpers go
+    through it.
+    """
+
+    def __init__(self, data, mask):
+        self.mask = mask.dense()
+        self.masked_data = data * self.mask
+        self.mask_unf = [unfold(self.mask, j) for j in range(data.ndim)]
+        self.data_unf = [unfold(self.masked_data, j) for j in range(data.ndim)]
+        self.sqrt_fraction = np.sqrt(mask.count / mask.total)
+
+    def value(self, factors):
+        res = self.masked_data - self.mask * cp_reconstruct(factors)
+        return 0.5 * float(np.sum(res * res))
+
+    def block_grad(self, x, kr, mode):
+        """Gradient in factor `mode` at value `x`, where `kr` is the
+        Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR."""
+        fit = x @ kr.T
+        fit *= self.mask_unf[mode]
+        fit -= self.data_unf[mode]
+        return fit @ kr
+
+    @staticmethod
+    def curvature(kr, sqrt_fraction, rho):
+        """Block curvature rho * sqrt(observed fraction) * ||kr||_2^2,
+        floored so step sizes stay finite even for zero factors."""
+        # Power iteration on the Gram matrix gives ||kr||_2^2 directly.
+        return max(rho * sqrt_fraction * spectral_norm_est(kr.T @ kr), LIPSCHITZ_FLOOR)
+
+
+def _reference_loss(data, mask, factors):
+    """Kernel for the public helpers, after checking their arguments agree."""
+    d = np.asarray(data, dtype=np.float64)
+    shape, _ = validate_factors(factors)
+    if d.shape != shape:
+        raise ValueError(f"data shape {d.shape} does not match factors {shape}")
+    if tuple(mask.shape) != shape:
+        raise ValueError(f"mask shape {mask.shape} does not match data {shape}")
+    return _MaskedLoss(d, mask)
+
+
 def objective(data, mask, factors, lam, spec):
     """Masked half squared residual plus lam times the regularizer."""
-    _, value = masked_residual(data, factors, mask)
-    return 0.5 * value + lam * reg_value(factors, spec)
+    return _reference_loss(data, mask, factors).value(factors) + lam * reg_value(factors, spec)
 
 
 def smooth_grad(data, mask, factors, mode):
     """Gradient of the smooth completion loss with respect to one factor."""
-    res, _ = masked_residual(data, factors, mask)
-    return -unfold(res, mode) @ khatri_rao(factors, skip=mode)
+    loss = _reference_loss(data, mask, factors)
+    if not 0 <= mode < len(factors):
+        raise ValueError(f"mode {mode} out of range for order-{len(factors)} factors")
+    return loss.block_grad(factors[mode], khatri_rao(factors, skip=mode), mode)
 
 
 def estimate_lipschitz(factors, mode, n_observed, rho=1.0):
@@ -154,14 +232,7 @@ def estimate_lipschitz(factors, mode, n_observed, rho=1.0):
         raise ValueError(f"rho must be positive, got {rho}")
     if k == 0:
         return LIPSCHITZ_FLOOR
-    kr = khatri_rao(factors, skip=mode)
-    return _lipschitz_from_kr(kr, n_observed / total, rho)
-
-
-def _lipschitz_from_kr(kr, observed_fraction, rho):
-    # Power iteration on the Gram matrix gives ||kr||_2^2 directly.
-    sq_norm = spectral_norm_est(kr.T @ kr)
-    return max(rho * np.sqrt(observed_fraction) * sq_norm, LIPSCHITZ_FLOOR)
+    return _MaskedLoss.curvature(khatri_rao(factors, skip=mode), np.sqrt(n_observed / total), rho)
 
 
 def extrapolation_weight(l_prev, l_curr, t, delta=0.95):
@@ -188,11 +259,6 @@ def _check_problem(data, mask, config):
             f"regularizer order {config.spec.order} does not match tensor order {d.ndim}"
         )
     return d
-
-
-def _masked_objective(dm, mdense, factors, lam, spec):
-    res = dm - mdense * cp_reconstruct(factors)
-    return 0.5 * float(np.sum(res * res)) + lam * reg_value(factors, spec)
 
 
 def _prox_gradient_descent(target, exponent, lam_eff, lipschitz, steps=5, max_halvings=20):
@@ -255,25 +321,17 @@ def bcde_solve(data, mask, config):
     """Block coordinate descent with extrapolation over CP factors."""
     d = _check_problem(data, mask, config)
     ndim = d.ndim
-    lam = config.lam
-    spec = config.spec
+    lam, spec = config.lam, config.spec
     terms = spec.mode_terms()
-
-    mdense = mask.dense()
-    dm = d * mdense
-    m_unf = [unfold(mdense, j) for j in range(ndim)]
-    dm_unf = [unfold(dm, j) for j in range(ndim)]
-    frac = np.sqrt(mask.count / mask.total)
+    loss = _MaskedLoss(d, mask)
 
     factors = init_factors(d.shape, config.k_init, config.rng_seed)
     prev = [f.copy() for f in factors]
     k = config.k_init
 
-    start = time.perf_counter()
-    obj = _masked_objective(dm, mdense, factors, lam, spec)
-    trace = [obj]
-    rank_trace = [k]
-    time_trace = [0.0]
+    run = _Run()
+    obj = loss.value(factors) + lam * reg_value(factors, spec)
+    run.record(obj, k)
     l_prev = [None] * ndim
     l_curr = [None] * ndim
     converged = False
@@ -296,12 +354,12 @@ def bcde_solve(data, mask, config):
                     w = 0.0
                 xhat = fac[j] + w * (fac[j] - pv[j])
                 kr = khatri_rao(fac, skip=j)
-                lip = mult * _lipschitz_from_kr(kr, frac**2, config.rho)
-                grad = (m_unf[j] * (xhat @ kr.T) - dm_unf[j]) @ kr
+                lip = mult * loss.curvature(kr, loss.sqrt_fraction, config.rho)
+                grad = loss.block_grad(xhat, kr, j)
                 pv[j] = fac[j]
                 fac[j] = _prox_mode(xhat - grad / lip, terms[j], lam, lip)
                 new_l[j] = lip
-            cand = _masked_objective(dm, mdense, fac, lam, spec)
+            cand = loss.value(fac) + lam * reg_value(fac, spec)
             if cand <= obj or mult >= _SAFEGUARD_CAP:
                 break
             # Objective went up: retry the sweep with doubled curvature
@@ -316,30 +374,13 @@ def bcde_solve(data, mask, config):
         if pruned:
             k = factors[0].shape[1]
 
-        trace.append(cand)
-        rank_trace.append(k)
-        time_trace.append(time.perf_counter() - start)
-        if abs(obj - cand) <= config.conv_tol * max(1.0, abs(obj)):
-            obj = cand
-            converged = True
-            break
+        run.record(cand, k)
+        converged = abs(obj - cand) <= config.conv_tol * max(1.0, abs(obj)) or k == 0
         obj = cand
-        if k == 0:
-            converged = True
+        if converged:
             break
 
-    recovered = cp_reconstruct(factors) if k else np.zeros(d.shape)
-    return SolveReport(
-        recovered=recovered,
-        factors=factors,
-        final_rank=k,
-        objective_trace=trace,
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-        rank_trace=rank_trace,
-        time_trace=time_trace,
-    )
+    return run.report(factors, d.shape, iterations, converged)
 
 
 def _reg_grad_mode(x, term):
@@ -373,13 +414,11 @@ def quasi_newton_solve(data, mask, config):
     """Limited-memory BFGS over all factor entries jointly."""
     d = _check_problem(data, mask, config)
     ndim = d.ndim
-    lam = config.lam
-    spec = config.spec
+    lam, spec = config.lam, config.spec
     terms = spec.mode_terms()
     dims = d.shape
+    loss = _MaskedLoss(d, mask)
 
-    mdense = mask.dense()
-    dm = d * mdense
     k = config.k_init
     factors = init_factors(dims, k, config.rng_seed)
 
@@ -398,18 +437,15 @@ def quasi_newton_solve(data, mask, config):
 
     def fun(x, rank):
         fac = unpack(x, rank)
-        res = dm - mdense * cp_reconstruct(fac)
-        return 0.5 * float(np.sum(res * res)) + lam * reg_value(fac, spec)
+        return loss.value(fac) + lam * reg_value(fac, spec)
 
     def grad(x, rank):
         fac = unpack(x, rank)
-        res = dm - mdense * cp_reconstruct(fac)
-        parts = []
-        for j in range(ndim):
-            kr = khatri_rao(fac, skip=j)
-            gj = -unfold(res, j) @ kr + lam * _reg_grad_mode(fac[j], terms[j])
-            parts.append(gj.ravel())
-        return np.concatenate(parts)
+        return np.concatenate([
+            (loss.block_grad(fac[j], khatri_rao(fac, skip=j), j)
+             + lam * _reg_grad_mode(fac[j], terms[j])).ravel()
+            for j in range(ndim)
+        ])
 
     def armijo(x, rank, f0, g, p, step0, max_trials=30):
         derphi = float(g @ p)
@@ -422,13 +458,11 @@ def quasi_newton_solve(data, mask, config):
             step *= 0.5
         return None, None
 
-    start = time.perf_counter()
+    run = _Run()
     x = pack(factors)
     f = fun(x, k)
     g = grad(x, k)
-    trace = [f]
-    rank_trace = [k]
-    time_trace = [0.0]
+    run.record(f, k)
     s_hist, y_hist = [], []
     converged = False
     iterations = 0
@@ -468,31 +502,14 @@ def quasi_newton_solve(data, mask, config):
             x = pack(factors)
             s_hist, y_hist = [], []
             f = fun(x, k)
-            g = grad(x, k) if k else np.zeros(0)
+            g = grad(x, k)
 
-        trace.append(f)
-        rank_trace.append(k)
-        time_trace.append(time.perf_counter() - start)
-        if abs(f_before - f) <= config.conv_tol * max(1.0, abs(f_before)):
-            converged = True
-            break
-        if k == 0:
-            converged = True
+        run.record(f, k)
+        converged = abs(f_before - f) <= config.conv_tol * max(1.0, abs(f_before)) or k == 0
+        if converged:
             break
 
-    factors = unpack(x, k)
-    recovered = cp_reconstruct(factors) if k else np.zeros(dims)
-    return SolveReport(
-        recovered=recovered,
-        factors=factors,
-        final_rank=k,
-        objective_trace=trace,
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-        rank_trace=rank_trace,
-        time_trace=time_trace,
-    )
+    return run.report(unpack(x, k), dims, iterations, converged)
 
 
 def solve(data, mask, config):

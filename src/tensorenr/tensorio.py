@@ -15,6 +15,8 @@ strictly ascending order.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -24,6 +26,8 @@ from .core import ObservationMask, check_shape
 TENSOR_MAGIC = b"TNSR"
 MASK_MAGIC = b"MASK"
 FORMAT_VERSION = 1
+# Mask offsets and ObservationMask sizes are int64, so no tensor may hold more entries.
+MAX_ENTRIES = 2**63 - 1
 
 
 class FormatError(ValueError):
@@ -43,7 +47,17 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _check_payload(fh, nbytes, what):
+    """Require exactly `nbytes` left in the file, before reading any of them."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise FormatError(f"truncated file: {what} needs {nbytes} bytes, {left} left")
+    if left > nbytes:
+        raise FormatError(f"trailing bytes after {what}")
+
+
 def _read_header(fh, magic):
+    """Read a header; returns the shape and its exact entry count."""
     got = _read_exact(fh, 4, "magic")
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
@@ -55,9 +69,13 @@ def _read_header(fh, magic):
         raise FormatError(f"implausible tensor order {order}")
     dims = struct.unpack(f"<{order}I", _read_exact(fh, 4 * order, "dimensions"))
     try:
-        return check_shape(dims)
+        shape = check_shape(dims)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    total = math.prod(shape)
+    if total > MAX_ENTRIES:
+        raise FormatError(f"tensor of shape {shape} has more than {MAX_ENTRIES} entries")
+    return shape, total
 
 
 def write_tensor(path, tensor):
@@ -74,11 +92,9 @@ def write_tensor(path, tensor):
 def read_tensor(path):
     """Read a TNSR1 file back into a numpy array."""
     with open(path, "rb") as fh:
-        shape = _read_header(fh, TENSOR_MAGIC)
-        total = int(np.prod(shape, dtype=np.int64))
+        shape, total = _read_header(fh, TENSOR_MAGIC)
+        _check_payload(fh, 8 * total, "tensor payload")
         payload = _read_exact(fh, 8 * total, "tensor payload")
-        if fh.read(1):
-            raise FormatError("trailing bytes after tensor payload")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise FormatError("tensor payload contains non-finite values")
@@ -96,14 +112,12 @@ def write_mask(path, mask):
 def read_mask(path):
     """Read a MASK file back into an :class:`ObservationMask`."""
     with open(path, "rb") as fh:
-        shape = _read_header(fh, MASK_MAGIC)
+        shape, total = _read_header(fh, MASK_MAGIC)
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "mask count"))
-        total = int(np.prod(shape, dtype=np.int64))
         if count > total:
             raise FormatError(f"mask count {count} exceeds tensor size {total}")
+        _check_payload(fh, 8 * count, "mask offsets")
         payload = _read_exact(fh, 8 * count, "mask offsets")
-        if fh.read(1):
-            raise FormatError("trailing bytes after mask offsets")
     idx = np.frombuffer(payload, dtype="<u8").astype(np.int64)
     try:
         return ObservationMask(shape, idx)

@@ -1,29 +1,39 @@
 """Robust tensor PCA: fit a CP model plus an elementwise-sparse term.
 
-All three solvers decompose a fully observed tensor D as CP(F) + E with
-an L1 penalty lam_e on E and a Euclidean-norm penalty on the factors:
+All three solvers decompose a fully observed tensor D as CP(F) + E and
+minimize
 
-* :func:`trpca_admm_solve`   splits the factors from their regularized
-  copies and alternates closed-form updates with column soft thresholds
-  (effective column exponent 1);
-* :func:`trpca_asym_solve`   same splitting on mode 0 only, with a
-  reweighted prox for a norm power q in (0, 1), and ridge-regularized
-  least squares on the remaining modes;
-* :func:`trpca_als_solve`    plain alternating ridge least squares
-  (effective column exponent 2); its objective is monotone because every
-  block update is an exact minimizer.
+    0.5 * ||D - CP(F) - E||_F^2 + lam_x * s * reg_value(F, spec) + lam_e * ||E||_1
+
+where the penalty on the factors is a sum over modes of coeff * sum_i
+||x_i||^exponent, i.e. a regularizer of :mod:`tensorenr.regularizers`
+scaled by s:
+
+* :func:`trpca_admm_solve`   spec ``sym:p=1/d``, s = d (every mode
+  carries the plain column norm); splits the factors from their
+  regularized copies and alternates closed-form updates with column soft
+  thresholds;
+* :func:`trpca_asym_solve`   spec ``asym_b:q`` (q = 2/m), s = 1/p_eff
+  (mode 0 carries ||x||^q / q, the others ||x||^2 / 2); same splitting on
+  mode 0 only, with a reweighted prox, and ridge-regularized least squares
+  on the remaining modes;
+* :func:`trpca_als_solve`    spec ``sym:p=2/d``, s = 1 (every mode
+  carries ||x||^2 / d); plain alternating ridge least squares, whose
+  objective is monotone because every block update is an exact minimizer.
+
+The three share one driver loop and differ only in their sweep, in which
+modes are split and in the per-mode penalty terms.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import cp_reconstruct, khatri_rao, unfold, validate_factors
-from .lrtc import SolveReport, init_factors
+from .lrtc import _Run, init_factors
 from .regularizers import (
     RegularizerSpec,
     prox_group_soft,
@@ -105,34 +115,11 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
     return _solve_right(gram, rhs)
 
 
-def _column_norm_power_sum(mat, power):
-    return float(np.sum(np.linalg.norm(mat, axis=0) ** power))
-
-
-def _admm_objective(data, factors, sparse, lam_x, lam_e):
+def _objective(data, factors, sparse, terms, lam_x, lam_e):
+    """Unaugmented objective; `terms` holds each mode's (coeff, exponent)."""
     res = data - cp_reconstruct(factors) - sparse
-    pen = sum(_column_norm_power_sum(f, 1.0) for f in factors)
-    return 0.5 * float(np.sum(res * res)) + lam_x * pen + lam_e * float(
-        np.sum(np.abs(sparse))
-    )
-
-
-def _als_objective(data, factors, sparse, lam_x, lam_e):
-    d = len(factors)
-    res = data - cp_reconstruct(factors) - sparse
-    pen = sum(_column_norm_power_sum(f, 2.0) for f in factors) / d
-    return 0.5 * float(np.sum(res * res)) + lam_x * pen + lam_e * float(
-        np.sum(np.abs(sparse))
-    )
-
-
-def _asym_objective(data, factors, sparse, q, lam_x, lam_e):
-    res = data - cp_reconstruct(factors) - sparse
-    pen = _column_norm_power_sum(factors[0], q) / q
-    pen += 0.5 * sum(_column_norm_power_sum(f, 2.0) for f in factors[1:])
-    return 0.5 * float(np.sum(res * res)) + lam_x * pen + lam_e * float(
-        np.sum(np.abs(sparse))
-    )
+    pen = sum(c * float(np.sum(np.linalg.norm(f, axis=0) ** e)) for f, (c, e) in zip(factors, terms))
+    return 0.5 * float(np.sum(res * res)) + lam_x * pen + lam_e * float(np.sum(np.abs(sparse)))
 
 
 def _admm_sweep(data, sparse, factors, aux, duals, lam_x, lam_e, mu):
@@ -175,23 +162,6 @@ def _relative_change(new, old):
     return float(np.linalg.norm(np.ravel(new - old)) / max(1.0, np.linalg.norm(np.ravel(old))))
 
 
-def _finish(data, factors, sparse, trace, iterations, start, converged, rank_trace, time_trace):
-    k = factors[0].shape[1]
-    recovered = cp_reconstruct(factors) if k else np.zeros(data.shape)
-    report = SolveReport(
-        recovered=recovered,
-        factors=factors,
-        final_rank=k,
-        objective_trace=trace,
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-        rank_trace=rank_trace,
-        time_trace=time_trace,
-    )
-    return report, sparse
-
-
 def _require_sym_exponent(spec, target, solver_name):
     if spec is None:
         return
@@ -202,8 +172,57 @@ def _require_sym_exponent(spec, target, solver_name):
         )
 
 
+def _drive(data, config, split, terms, sweep):
+    """The iteration shared by the three solvers.
+
+    `split` lists the modes that carry an auxiliary copy and a dual
+    variable, and `terms` the per-mode (coeff, exponent) penalty of the
+    objective. ``sweep(sparse, factors, aux, duals)`` runs one iteration:
+    it updates the three lists in place and returns the new sparse term.
+    A component is pruned when its auxiliary column is zero in every split
+    mode. The solve stops when the rank reaches zero or, after a sweep
+    without pruning, when factors and sparse term both change by less than
+    ``conv_tol`` relatively. Returns (report, sparse_term).
+    """
+    factors = init_factors(data.shape, config.k_init, config.rng_seed)
+    aux = [factors[j].copy() for j in split]
+    duals = [np.zeros_like(factors[j]) for j in split]
+    sparse = np.zeros(data.shape)
+
+    run = _Run()
+    run.record(_objective(data, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
+    converged = False
+    iterations = 0
+
+    for t in range(1, config.t_max + 1):
+        iterations = t
+        prev_factors = [f.copy() for f in factors]
+        prev_sparse = sparse
+        sparse = sweep(sparse, factors, aux, duals)
+
+        pruned = False
+        if aux:
+            keep = np.any(np.stack([np.linalg.norm(y, axis=0) for y in aux]) != 0.0, axis=0)
+            pruned = not np.all(keep)
+        if pruned:
+            factors, aux, duals = ([m[:, keep] for m in mats] for mats in (factors, aux, duals))
+
+        k = factors[0].shape[1]
+        run.record(_objective(data, factors, sparse, terms, config.lam_x, config.lam_e), k)
+        converged = k == 0 or (
+            not pruned
+            and max(_relative_change(f, p) for f, p in zip(factors, prev_factors)) < config.conv_tol
+            and _relative_change(sparse, prev_sparse) < config.conv_tol
+        )
+        if converged:
+            break
+
+    return run.report(factors, data.shape, iterations, converged), sparse
+
+
 def trpca_admm_solve(data, config):
-    """Splitting solver for the column-norm (exponent 1) penalty.
+    """Splitting solver for the column-norm (exponent 1) penalty: lam_x
+    weighs d * reg_value(F, sym:p=1/d), the sum of all column norms.
 
     Returns (report, sparse_term). The objective trace records the
     unaugmented objective at the factor iterates; it is reported, not
@@ -213,56 +232,17 @@ def trpca_admm_solve(data, config):
     _require_sym_exponent(config.spec, 1.0, "trpca_admm_solve")
     lam_x, lam_e, mu = config.lam_x, config.lam_e, config.mu
 
-    factors = init_factors(d.shape, config.k_init, config.rng_seed)
-    aux = [f.copy() for f in factors]
-    duals = [np.zeros_like(f) for f in factors]
-    sparse = np.zeros(d.shape)
+    def sweep(sparse, factors, aux, duals):
+        return _admm_sweep(d, sparse, factors, aux, duals, lam_x, lam_e, mu)
 
-    start = time.perf_counter()
-    trace = [_admm_objective(d, factors, sparse, lam_x, lam_e)]
-    rank_trace = [config.k_init]
-    time_trace = [0.0]
-    converged = False
-    iterations = 0
-
-    for t in range(1, config.t_max + 1):
-        iterations = t
-        prev_factors = [f.copy() for f in factors]
-        prev_sparse = sparse
-        sparse = _admm_sweep(d, sparse, factors, aux, duals, lam_x, lam_e, mu)
-
-        norms = np.stack([np.linalg.norm(y, axis=0) for y in aux])
-        dead = np.all(norms == 0.0, axis=0)
-        pruned = bool(np.any(dead))
-        if pruned:
-            keep = ~dead
-            factors = [f[:, keep] for f in factors]
-            aux = [y[:, keep] for y in aux]
-            duals = [z[:, keep] for z in duals]
-
-        trace.append(_admm_objective(d, factors, sparse, lam_x, lam_e))
-        rank_trace.append(factors[0].shape[1])
-        time_trace.append(time.perf_counter() - start)
-
-        if factors[0].shape[1] == 0:
-            converged = True
-            break
-        if not pruned:
-            fac_change = max(
-                _relative_change(f, p) for f, p in zip(factors, prev_factors)
-            )
-            if fac_change < config.conv_tol and _relative_change(
-                sparse, prev_sparse
-            ) < config.conv_tol:
-                converged = True
-                break
-
-    return _finish(d, factors, sparse, trace, iterations, start, converged, rank_trace, time_trace)
+    return _drive(d, config, range(d.ndim), [(1.0, 1.0)] * d.ndim, sweep)
 
 
 def trpca_asym_solve(data, config):
     """Splitting solver with a norm power q in (0, 1) on mode 0 and ridge
-    penalties on the remaining modes. Returns (report, sparse_term)."""
+    penalties on the remaining modes: lam_x weighs reg_value(F, asym_b:q)
+    / p_eff, that is sum ||x^(0)||^q / q + sum_{j>0} ||x^(j)||^2 / 2.
+    Returns (report, sparse_term)."""
     d = _check_data(data)
     q = config.q
     if q is None and config.spec is not None and config.spec.kind == "asym_b":
@@ -271,92 +251,28 @@ def trpca_asym_solve(data, config):
         raise ValueError(f"trpca_asym_solve requires q in (0, 1), got {q}")
     lam_x, lam_e, mu = config.lam_x, config.lam_e, config.mu
 
-    factors = init_factors(d.shape, config.k_init, config.rng_seed)
-    aux0 = factors[0].copy()
-    dual0 = np.zeros_like(factors[0])
-    sparse = np.zeros(d.shape)
-
-    start = time.perf_counter()
-    trace = [_asym_objective(d, factors, sparse, q, lam_x, lam_e)]
-    rank_trace = [config.k_init]
-    time_trace = [0.0]
-    converged = False
-    iterations = 0
-
-    for t in range(1, config.t_max + 1):
-        iterations = t
-        prev_factors = [f.copy() for f in factors]
-        prev_sparse = sparse
-        aux0, dual0, sparse = _asym_sweep(
-            d, sparse, factors, aux0, dual0, q, lam_x, lam_e, mu
+    def sweep(sparse, factors, aux, duals):
+        aux[0], duals[0], sparse = _asym_sweep(
+            d, sparse, factors, aux[0], duals[0], q, lam_x, lam_e, mu
         )
+        return sparse
 
-        dead = np.linalg.norm(aux0, axis=0) == 0.0
-        pruned = bool(np.any(dead))
-        if pruned:
-            keep = ~dead
-            factors = [f[:, keep] for f in factors]
-            aux0 = aux0[:, keep]
-            dual0 = dual0[:, keep]
-
-        trace.append(_asym_objective(d, factors, sparse, q, lam_x, lam_e))
-        rank_trace.append(factors[0].shape[1])
-        time_trace.append(time.perf_counter() - start)
-
-        if factors[0].shape[1] == 0:
-            converged = True
-            break
-        if not pruned:
-            fac_change = max(
-                _relative_change(f, p) for f, p in zip(factors, prev_factors)
-            )
-            if fac_change < config.conv_tol and _relative_change(
-                sparse, prev_sparse
-            ) < config.conv_tol:
-                converged = True
-                break
-
-    return _finish(d, factors, sparse, trace, iterations, start, converged, rank_trace, time_trace)
+    terms = [(1.0 / q, q)] + [(0.5, 2.0)] * (d.ndim - 1)
+    return _drive(d, config, [0], terms, sweep)
 
 
 def trpca_als_solve(data, config):
     """Alternating ridge least squares for the squared-norm (exponent 2)
-    penalty. Returns (report, sparse_term); the objective trace is
-    monotone non-increasing."""
+    penalty: lam_x weighs reg_value(F, sym:p=2/d), the sum of squared
+    column norms divided by d. Returns (report, sparse_term); the
+    objective trace is monotone non-increasing."""
     d = _check_data(data)
     _require_sym_exponent(config.spec, 2.0, "trpca_als_solve")
-    lam_x, lam_e = config.lam_x, config.lam_e
 
-    factors = init_factors(d.shape, config.k_init, config.rng_seed)
-    sparse = np.zeros(d.shape)
+    def sweep(sparse, factors, aux, duals):
+        return _als_sweep(d, sparse, factors, config.lam_x, config.lam_e)
 
-    start = time.perf_counter()
-    trace = [_als_objective(d, factors, sparse, lam_x, lam_e)]
-    rank_trace = [config.k_init]
-    time_trace = [0.0]
-    converged = False
-    iterations = 0
-
-    for t in range(1, config.t_max + 1):
-        iterations = t
-        prev_factors = [f.copy() for f in factors]
-        prev_sparse = sparse
-        sparse = _als_sweep(d, sparse, factors, lam_x, lam_e)
-
-        trace.append(_als_objective(d, factors, sparse, lam_x, lam_e))
-        rank_trace.append(factors[0].shape[1])
-        time_trace.append(time.perf_counter() - start)
-
-        fac_change = max(
-            _relative_change(f, p) for f, p in zip(factors, prev_factors)
-        )
-        if fac_change < config.conv_tol and _relative_change(
-            sparse, prev_sparse
-        ) < config.conv_tol:
-            converged = True
-            break
-
-    return _finish(d, factors, sparse, trace, iterations, start, converged, rank_trace, time_trace)
+    return _drive(d, config, [], [(1.0 / d.ndim, 2.0)] * d.ndim, sweep)
 
 
 def trpca_solve(data, config):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorenr.core import (
     ObservationMask,
@@ -7,10 +9,12 @@ from tensorenr.core import (
     khatri_rao,
     masked_residual,
     sample_mask,
+    unfold,
 )
 from tensorenr.lrtc import (
     LIPSCHITZ_FLOOR,
     LrtcConfig,
+    _MaskedLoss,
     bcde_solve,
     estimate_lipschitz,
     extrapolation_weight,
@@ -342,3 +346,29 @@ class TestSolveDispatch:
             LrtcConfig(k_init=2, lam=0.0, spec=spec, solver="sgd")
         with pytest.raises(ValueError):
             LrtcConfig(k_init=2, lam=0.0, spec=spec, delta=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    k=st.integers(0, 3),
+    missing=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_loss_kernel_matches_reference(shape, k, missing, seed):
+    # the kernel's value is half of masked_residual's, and each block
+    # gradient is -unfold(res, j) @ khatri_rao(F, skip=j)
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    mask = sample_mask(shape, missing, seed)
+    loss = _MaskedLoss(data, mask)
+    res, value = masked_residual(data, factors, mask)
+    np.testing.assert_allclose(loss.value(factors), 0.5 * value, rtol=1e-10, atol=0.0)
+    for j in range(len(shape)):
+        kr = khatri_rao(factors, skip=j)
+        want = -unfold(res, j) @ kr
+        got = loss.block_grad(factors[j], kr, j)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorenr.core import ObservationMask, sample_mask
 from tensorenr.tensorio import (
@@ -140,3 +142,63 @@ def test_high_order_tensor_round_trip(tmp_path):
     path = tmp_path / "t.tnsr"
     write_tensor(path, t)
     assert np.array_equal(read_tensor(path), t)
+
+
+def _header(magic, dims):
+    return magic + bytes([1]) + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+def test_mask_header_overflowing_int64_rejected(tmp_path):
+    # 65536^6 = 2^96 entries wraps to 0 in int64 arithmetic
+    path = tmp_path / "m.msk"
+    path.write_bytes(_header(b"MASK", [65536] * 6) + struct.pack("<Q", 0))
+    assert path.stat().st_size == 41
+    with pytest.raises(FormatError):
+        read_mask(path)
+
+
+def test_tensor_header_overflowing_int64_rejected(tmp_path):
+    path = tmp_path / "t.tnsr"
+    path.write_bytes(_header(b"TNSR", [65536] * 6))
+    with pytest.raises(FormatError):
+        read_tensor(path)
+
+
+def test_payload_checked_against_file_size_before_reading(tmp_path):
+    # 4096^3 entries would be a 512 GiB read; the file holds only a header
+    path = tmp_path / "t.tnsr"
+    path.write_bytes(_header(b"TNSR", [4096] * 3))
+    with pytest.raises(FormatError):
+        read_tensor(path)
+
+
+def test_mask_count_beyond_file_size_rejected(tmp_path):
+    path = tmp_path / "m.msk"
+    path.write_bytes(_header(b"MASK", [4096] * 3) + struct.pack("<Q", 2**36))
+    with pytest.raises(FormatError):
+        read_mask(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from(["tensor", "mask"]),
+    edits=st.lists(st.tuples(st.integers(0, 32), st.integers(0, 255)), min_size=1, max_size=4),
+)
+def test_mutated_headers_read_or_raise_format_error(tmp_path_factory, which, edits):
+    # flipping bytes anywhere in the header (and the mask count) must give
+    # either a readable file or FormatError, never another error
+    path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+    if which == "tensor":
+        write_tensor(path, np.arange(24.0).reshape(2, 3, 4))
+        header_len, reader = 4 + 1 + 4 + 12, read_tensor
+    else:
+        write_mask(path, sample_mask((2, 3, 4), 0.5, seed=1))
+        header_len, reader = 4 + 1 + 4 + 12 + 8, read_mask
+    raw = bytearray(path.read_bytes())
+    for pos, value in edits:
+        raw[pos % header_len] = value
+    path.write_bytes(bytes(raw))
+    try:
+        reader(path)
+    except FormatError:
+        pass

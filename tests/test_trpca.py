@@ -3,6 +3,7 @@ import pytest
 from helpers import grid_minimize
 
 from tensorenr.core import cp_reconstruct, khatri_rao, unfold
+from tensorenr.lrtc import init_factors
 from tensorenr.regularizers import (
     RegularizerSpec,
     reg_value,
@@ -13,6 +14,7 @@ from tensorenr.trpca import (
     _admm_sweep,
     _als_sweep,
     _asym_sweep,
+    _objective,
     sparsity_summary,
     trpca_admm_solve,
     trpca_als_solve,
@@ -335,13 +337,59 @@ def test_sparsity_summary():
     assert frac == pytest.approx(0.25)
 
 
-def test_als_sweep_matches_solver_first_iteration():
-    data = clean_rank_one((5, 5, 5), 21)
-    cfg = TrpcaConfig(k_init=2, lam_x=0.3, lam_e=0.4, spec=SYM_E2, solver="als", t_max=1)
-    rep, sparse = trpca_als_solve(data, cfg)
-    from tensorenr.lrtc import init_factors
+def _manual_first_iteration(solver, data, k, lam_x, lam_e, mu):
+    """One sweep from init_factors, done by hand: (factors, sparse, terms)."""
+    factors = init_factors(data.shape, k, 0)
+    sparse = np.zeros(data.shape)
+    if solver == "admm":
+        aux = [f.copy() for f in factors]
+        duals = [np.zeros_like(f) for f in factors]
+        sparse = _admm_sweep(data, sparse, factors, aux, duals, lam_x, lam_e, mu)
+        return factors, sparse, [(1.0, 1.0)] * 3
+    if solver == "asym":
+        aux0, dual0 = factors[0].copy(), np.zeros_like(factors[0])
+        _, _, sparse = _asym_sweep(data, sparse, factors, aux0, dual0, 0.5, lam_x, lam_e, mu)
+        return factors, sparse, [(2.0, 0.5), (0.5, 2.0), (0.5, 2.0)]
+    sparse = _als_sweep(data, sparse, factors, lam_x, lam_e)
+    return factors, sparse, [(1.0 / 3.0, 2.0)] * 3
 
-    factors = init_factors(data.shape, 2, 0)
-    manual = _als_sweep(data, np.zeros(data.shape), factors, 0.3, 0.4)
+
+SOLVER_ARGS = {"admm": {"spec": SYM_E1}, "asym": {"q": 0.5}, "als": {"spec": SYM_E2}}
+
+
+@pytest.mark.parametrize("solver", ["admm", "asym", "als"])
+def test_solver_first_iteration_matches_one_sweep(solver):
+    # the shared driver adds nothing to a sweep: a one-iteration solve is
+    # one manual sweep from the same start, bit for bit
+    data = clean_rank_one((5, 5, 5), 21)
+    cfg = TrpcaConfig(k_init=2, lam_x=0.3, lam_e=0.4, solver=solver, t_max=1, **SOLVER_ARGS[solver])
+    rep, sparse = trpca_solve(data, cfg)
+    factors, manual, terms = _manual_first_iteration(solver, data, 2, 0.3, 0.4, cfg.mu)
+    assert rep.final_rank == 2
     assert np.array_equal(sparse, manual)
-    assert np.array_equal(rep.factors[0], factors[0])
+    for got, want in zip(rep.factors, factors):
+        assert np.array_equal(got, want)
+    assert rep.objective_trace[1] == _objective(data, factors, manual, terms, 0.3, 0.4)
+
+
+@pytest.mark.parametrize(
+    "solver, spec",
+    [
+        ("admm", SYM_E1),
+        ("als", SYM_E2),
+        ("asym", RegularizerSpec("asym_b", 3, q=0.5)),
+        ("asym", RegularizerSpec("asym_b", 3, q=2.0 / 7.0)),
+    ],
+)
+def test_objective_is_scaled_reg_value(solver, spec):
+    # each solver's penalty is lam_x * s * reg_value(F, spec): s = d for
+    # admm (sym:p=1/d), 1 for als (sym:p=2/d), 1/p_eff for asym (asym_b:q)
+    scale = {"admm": 3.0, "als": 1.0, "asym": 1.0 / spec.effective_p}[solver]
+    data = clean_rank_one((4, 5, 6), 22) + 0.1 * np.random.default_rng(22).standard_normal((4, 5, 6))
+    lam_x = 0.7
+    cfg = TrpcaConfig(k_init=3, lam_x=lam_x, lam_e=0.2, spec=spec, solver=solver, t_max=1)
+    rep, _ = trpca_solve(data, cfg)
+    f0 = init_factors(data.shape, 3, 0)
+    res = data - cp_reconstruct(f0)
+    want = 0.5 * float(np.sum(res * res)) + lam_x * scale * reg_value(f0, spec)
+    assert rep.objective_trace[0] == pytest.approx(want, rel=1e-12)
