@@ -11,6 +11,7 @@ CP factor sets are lists of 2-d arrays, one per mode, each of shape
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,15 +19,23 @@ import numpy as np
 from scipy.linalg import khatri_rao as _khatri_rao_pair
 
 MAX_ORDER = 6
+# Mask offsets are int64, so no tensor may hold more entries.
+MAX_ENTRIES = 2**63 - 1
 
 
 def check_shape(shape):
-    """Validate a tensor shape and return it as a tuple of ints."""
+    """Validate a tensor shape and return it as a tuple of ints.
+
+    The entry count is taken in exact integer arithmetic and must fit in
+    int64, so sizes and offsets derived from a valid shape never wrap.
+    """
     dims = tuple(int(n) for n in shape)
     if not 2 <= len(dims) <= MAX_ORDER:
         raise ValueError(f"tensor order must be in [2, {MAX_ORDER}], got {len(dims)}")
     if any(n < 1 for n in dims):
         raise ValueError(f"all dimensions must be >= 1, got {dims}")
+    if math.prod(dims) > MAX_ENTRIES:
+        raise ValueError(f"tensor of shape {dims} has more than {MAX_ENTRIES} entries")
     return dims
 
 
@@ -74,7 +83,7 @@ def fold(matrix, mode, shape):
         raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
     mat = np.asarray(matrix, dtype=np.float64)
     rest = [n for j, n in enumerate(shape) if j != mode]
-    expected = (shape[mode], int(np.prod(rest, dtype=np.int64)) if rest else 1)
+    expected = (shape[mode], math.prod(rest))
     if mat.shape != expected:
         raise ValueError(f"matrix shape {mat.shape} does not match unfolding {expected}")
     arr = np.reshape(mat, [shape[mode]] + rest, order="F")
@@ -167,7 +176,7 @@ class ObservationMask:
         idx = np.asarray(self.linear_indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("linear_indices must be 1-d")
-        total = int(np.prod(self.shape, dtype=np.int64))
+        total = math.prod(self.shape)
         if idx.size:
             if idx[0] < 0 or idx[-1] >= total:
                 raise ValueError("mask offsets out of range")
@@ -181,7 +190,7 @@ class ObservationMask:
 
     @property
     def total(self):
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
     def multi_indices(self):
         """Offsets as a tuple of per-mode index arrays, for fancy indexing."""
@@ -243,7 +252,7 @@ def sample_mask(shape, missing_rate, seed):
     shape = check_shape(shape)
     if not 0.0 <= missing_rate < 1.0:
         raise ValueError(f"missing_rate must be in [0, 1), got {missing_rate}")
-    total = int(np.prod(shape, dtype=np.int64))
+    total = math.prod(shape)
     m = int(round((1.0 - missing_rate) * total))
     if m >= total:
         return ObservationMask(shape, np.arange(total, dtype=np.int64))

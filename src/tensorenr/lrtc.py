@@ -18,21 +18,24 @@ Both adapt the working rank: components whose columns vanish (exactly for
 the proximal solver, below ``prune_tol`` for the quasi-Newton one) are
 removed as the iteration proceeds. Both, and the public helpers
 :func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
-evaluate the masked loss through one kernel built once per call.
+evaluate the masked loss through one kernel built once per call. That
+kernel reads only the observed entries: a solve holds O(observed) data
+plus the one dense n_j x prod(n_i) product that each block call forms.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .core import (
     cp_reconstruct,
     khatri_rao,
     spectral_norm_est,
-    unfold,
     validate_factors,
 )
 from .regularizers import (
@@ -159,31 +162,52 @@ def init_factors(shape, k, seed):
 class _MaskedLoss:
     """The smooth completion loss 0.5 * ||M * (D - CP(F))||_F^2.
 
-    Built once per solve from (data, mask): it holds the dense mask M, the
-    masked data D*M and their mode unfoldings, so that the loss value, the
-    gradient of one factor block and that block's curvature need no
-    further set-up. Both solvers and the public reference helpers go
-    through it.
+    Built once per solve from (data, mask), it holds only the observed
+    entries: for each mode j, the observed data as a sparse matrix shaped
+    like the mode-j unfolding, and the flat offsets of those entries into
+    that unfolding. The loss value and the gradient of one factor block
+    read the model only at those offsets, so the kernel keeps O(observed)
+    memory, plus the one dense n_j x prod(n_i) product F_j KR^T that each
+    value or block call forms. Both solvers and the public reference
+    helpers go through it.
     """
 
     def __init__(self, data, mask):
-        self.mask = mask.dense()
-        self.masked_data = data * self.mask
-        self.mask_unf = [unfold(self.mask, j) for j in range(data.ndim)]
-        self.data_unf = [unfold(self.masked_data, j) for j in range(data.ndim)]
+        idx = mask.multi_indices()
+        observed = data[idx]
         self.sqrt_fraction = np.sqrt(mask.count / mask.total)
+        self.flat, self.observed = [], []
+        for j, n in enumerate(mask.shape):
+            rest = [i for i in range(len(mask.shape)) if i != j]
+            ncols = mask.total // n
+            # column of each entry in unfold(., j): remaining modes in
+            # ascending order, lowest varying fastest
+            cols = np.ravel_multi_index(
+                [idx[i] for i in rest], [mask.shape[i] for i in rest], order="F"
+            )
+            flat = idx[j] * ncols + cols
+            order = np.argsort(flat)
+            flat = flat[order]
+            indptr = np.searchsorted(flat, np.arange(n + 1) * ncols)
+            self.flat.append(flat)
+            self.observed.append(
+                csr_matrix((observed[order], cols[order], indptr), shape=(n, ncols))
+            )
+
+    def _residual(self, x, kr, mode):
+        """Model minus data at the observed entries, in mode-`mode` order."""
+        return (x @ kr.T).ravel().take(self.flat[mode]) - self.observed[mode].data
 
     def value(self, factors):
-        res = self.masked_data - self.mask * cp_reconstruct(factors)
-        return 0.5 * float(np.sum(res * res))
+        r = self._residual(factors[0], khatri_rao(factors, skip=0), 0)
+        return 0.5 * float(r @ r)
 
     def block_grad(self, x, kr, mode):
         """Gradient in factor `mode` at value `x`, where `kr` is the
-        Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR."""
-        fit = x @ kr.T
-        fit *= self.mask_unf[mode]
-        fit -= self.data_unf[mode]
-        return fit @ kr
+        Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR,
+        summed over the observed entries only."""
+        s = self.observed[mode]
+        return csr_matrix((self._residual(x, kr, mode), s.indices, s.indptr), shape=s.shape) @ kr
 
     @staticmethod
     def curvature(kr, sqrt_fraction, rho):
@@ -225,7 +249,7 @@ def estimate_lipschitz(factors, mode, n_observed, rho=1.0):
     positive value so step sizes stay finite even for zero factors.
     """
     shape, k = validate_factors(factors)
-    total = int(np.prod(shape, dtype=np.int64))
+    total = math.prod(shape)
     if not 0 <= n_observed <= total:
         raise ValueError(f"n_observed must lie in [0, {total}], got {n_observed}")
     if rho <= 0:

@@ -26,8 +26,6 @@ from .core import ObservationMask, check_shape
 TENSOR_MAGIC = b"TNSR"
 MASK_MAGIC = b"MASK"
 FORMAT_VERSION = 1
-# Mask offsets and ObservationMask sizes are int64, so no tensor may hold more entries.
-MAX_ENTRIES = 2**63 - 1
 
 
 class FormatError(ValueError):
@@ -72,10 +70,7 @@ def _read_header(fh, magic):
         shape = check_shape(dims)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    total = math.prod(shape)
-    if total > MAX_ENTRIES:
-        raise FormatError(f"tensor of shape {shape} has more than {MAX_ENTRIES} entries")
-    return shape, total
+    return shape, math.prod(shape)
 
 
 def write_tensor(path, tensor):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tensorenr.core import (
@@ -67,6 +71,35 @@ class TestUnfoldFold:
     def test_fold_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fold(np.zeros((2, 5)), 0, (2, 2, 2))
+
+    def test_fold_rejects_shape_beyond_int64(self):
+        # 65536^4 = 2^64 entries
+        with pytest.raises(ValueError, match="entries"):
+            fold(np.zeros((65536, 1)), 0, (65536,) * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_unfold_index_map(shape, seed):
+    # entry (i_0, ..., i_{d-1}) sits in row i_j and column
+    # sum_{i != j} i_i * prod_{l < i, l != j} n_l of unfold(t, j)
+    shape = tuple(shape)
+    total = math.prod(shape)
+    t = np.random.default_rng(seed).standard_normal(shape)
+    flat = t.ravel(order="F")
+    offsets = np.arange(total)
+    idx = np.unravel_index(offsets, shape, order="F")
+    for j in range(len(shape)):
+        u = unfold(t, j)
+        assert np.array_equal(fold(u, j, shape), t)
+        col = np.zeros(total, dtype=np.int64)
+        stride = 1
+        for i, n in enumerate(shape):
+            if i != j:
+                col += idx[i] * stride
+                stride *= n
+        assert u.shape == (shape[j], stride)
+        assert np.array_equal(u[idx[j], col], flat[offsets])
 
 
 class TestKhatriRao:
@@ -251,3 +284,17 @@ class TestObservationMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ObservationMask((2, 2, 2), np.array([8], dtype=np.int64))
+
+    @pytest.mark.parametrize("shape, offsets", [((65536,) * 6, []), ((65536,) * 4, [5])])
+    def test_rejects_total_beyond_int64(self, shape, offsets):
+        # 2^96 and 2^64 entries, which wrap to 0 in int64 arithmetic
+        with pytest.raises(ValueError, match="entries"):
+            ObservationMask(shape, np.array(offsets, dtype=np.int64))
+        with pytest.raises(ValueError, match="entries"):
+            sample_mask(shape, 0.5, seed=0)
+
+    def test_total_is_exact_near_int64_limit(self):
+        shape = (3037000499, 3037000499)  # just below 2^63 - 1 entries
+        mask = ObservationMask(shape, np.array([5, 3037000499**2 - 1], dtype=np.int64))
+        assert mask.total == 3037000499**2
+        assert mask.count == 2

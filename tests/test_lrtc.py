@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,7 +352,7 @@ class TestSolveDispatch:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    shape=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
     k=st.integers(0, 3),
     missing=st.floats(0.0, 0.9),
     seed=st.integers(0, 2**32 - 1),
@@ -372,3 +374,56 @@ def test_masked_loss_kernel_matches_reference(shape, k, missing, seed):
         got = loss.block_grad(factors[j], kr, j)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _dense_block_grad(data, factors, j):
+    # gradient of the fully observed loss: -unfold(D - CP(F), j) @ KR
+    kr = khatri_rao(factors, skip=j)
+    return -unfold(data - cp_reconstruct(factors), j) @ kr, kr
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 1, 2, 3), (2, 2, 3, 1, 2, 2)])
+def test_masked_loss_fully_observed_matches_dense(shape):
+    rng = np.random.default_rng(len(shape))
+    data = rng.standard_normal(shape)
+    factors = [rng.standard_normal((n, 3)) for n in shape]
+    loss = _MaskedLoss(data, sample_mask(shape, 0.0, seed=0))
+    res = data - cp_reconstruct(factors)
+    np.testing.assert_allclose(loss.value(factors), 0.5 * np.sum(res * res), rtol=1e-12)
+    for j in range(len(shape)):
+        want, kr = _dense_block_grad(data, factors, j)
+        np.testing.assert_allclose(loss.block_grad(factors[j], kr, j), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 2, 2, 3), (2, 2, 3, 2, 2, 2)])
+def test_masked_loss_unobserved_rows_get_zero_gradient(shape):
+    # observe only entries with every index below its last value, so the
+    # last row of every unfolding holds no observed entry
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal(shape)
+    factors = [rng.standard_normal((n, 2)) for n in shape]
+    indicator = np.zeros(shape)
+    indicator[tuple(slice(0, n - 1) for n in shape)] = 1.0
+    mask = ObservationMask.from_dense(indicator)
+    loss = _MaskedLoss(data, mask)
+    res, _ = masked_residual(data, factors, mask)
+    for j in range(len(shape)):
+        kr = khatri_rao(factors, skip=j)
+        got = loss.block_grad(factors[j], kr, j)
+        assert np.all(got[-1] == 0.0)
+        want = -unfold(res, j) @ kr
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_masked_loss_holds_no_dense_copy():
+    shape = (40, 40, 40)
+    data = np.random.default_rng(0).standard_normal(shape)
+    mask = sample_mask(shape, 0.99, seed=0)
+    tracemalloc.start()
+    try:
+        loss = _MaskedLoss(data, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.sqrt_fraction > 0.0
+    assert peak < data.nbytes
