@@ -12,7 +12,6 @@ CP factor sets are lists of 2-d arrays, one per mode, each of shape
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,44 +122,19 @@ def cp_reconstruct(factors):
     return fold(mats[0] @ kr.T, 0, shape)
 
 
-def spectral_norm_est(matrix, tol=1e-6, max_iters=500, seed=0):
-    """Estimate the largest singular value of `matrix` by power iteration
-    on the Gram matrix.
+def spectral_norm_est(matrix):
+    """Largest singular value of `matrix`, exactly (no iteration).
 
-    The start vector is drawn from a generator seeded with `seed`, so the
-    estimate is deterministic. Stops when successive estimates change by
-    less than `tol` relatively; warns if that does not happen within
-    `max_iters` and returns the best estimate so far.
+    Returns 0.0 for an empty matrix and nan if any entry is not finite.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("spectral_norm_est expects a 2-d array")
     if m.size == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # pragma: no cover (measure zero)
-        v = np.ones(m.shape[1])
-        nv = np.linalg.norm(v)
-    v /= nv
-    sigma = 0.0
-    for _ in range(max_iters):
-        w = m @ v
-        sigma_new = np.linalg.norm(w)
-        if sigma_new == 0.0:
-            return 0.0
-        v = m.T @ w
-        v /= np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return float(sigma_new)
-        sigma = sigma_new
-    warnings.warn(
-        f"power iteration did not converge within {max_iters} iterations",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return float(sigma)
+    if not np.isfinite(m).all():
+        return float("nan")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(eq=False, frozen=True)

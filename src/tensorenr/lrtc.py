@@ -8,8 +8,8 @@ over the factor set F, where M is the binary observation mask and R one
 of the Euclidean-norm regularizers:
 
 * :func:`bcde_solve` cycles over modes with extrapolated proximal steps,
-  an estimated per-block curvature and a restart safeguard that doubles
-  the curvature whenever a sweep fails to decrease the objective;
+  a per-block curvature and a restart safeguard that doubles the
+  curvature whenever a sweep fails to decrease the objective;
 * :func:`quasi_newton_solve` runs limited-memory BFGS with Armijo
   backtracking on all factor entries jointly, treating the regularizer
   subgradient as zero on zero columns.
@@ -20,7 +20,10 @@ removed as the iteration proceeds. Both, and the public helpers
 :func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
 evaluate the masked loss through one kernel built once per call. That
 kernel reads only the observed entries: a solve holds O(observed) data
-plus the one dense n_j x prod(n_i) product that each block call forms.
+and one residual buffer shared by all modes, plus the one dense
+n_j x prod(n_i) product that each block call forms. The block curvature
+is the exact squared spectral norm of the Khatri-Rao matrix, taken from
+the Hadamard product of the other modes' k x k Grams.
 """
 
 from __future__ import annotations
@@ -163,20 +166,22 @@ class _MaskedLoss:
     """The smooth completion loss 0.5 * ||M * (D - CP(F))||_F^2.
 
     Built once per solve from (data, mask), it holds only the observed
-    entries: for each mode j, the observed data as a sparse matrix shaped
-    like the mode-j unfolding, and the flat offsets of those entries into
-    that unfolding. The loss value and the gradient of one factor block
-    read the model only at those offsets, so the kernel keeps O(observed)
-    memory, plus the one dense n_j x prod(n_i) product F_j KR^T that each
-    value or block call forms. Both solvers and the public reference
-    helpers go through it.
+    entries: for each mode j, their data and flat offsets into the mode-j
+    unfolding, and that unfolding's sparsity pattern as a CSR matrix whose
+    data is one residual buffer shared by all modes (every mode holds the
+    same entries). Value and block gradient read the model only at the
+    observed offsets: O(observed) memory plus the one dense n_j x prod(n_i)
+    product F_j KR^T that each call forms. The block curvature comes from
+    the k x k Hadamard product of the other modes' Grams. Both solvers and
+    the public reference helpers go through it.
     """
 
     def __init__(self, data, mask):
         idx = mask.multi_indices()
         observed = data[idx]
         self.sqrt_fraction = np.sqrt(mask.count / mask.total)
-        self.flat, self.observed = [], []
+        self._buf = np.empty(mask.count)
+        self.flat, self.observed, self.pattern = [], [], []
         for j, n in enumerate(mask.shape):
             rest = [i for i in range(len(mask.shape)) if i != j]
             ncols = mask.total // n
@@ -190,13 +195,17 @@ class _MaskedLoss:
             flat = flat[order]
             indptr = np.searchsorted(flat, np.arange(n + 1) * ncols)
             self.flat.append(flat)
-            self.observed.append(
-                csr_matrix((observed[order], cols[order], indptr), shape=(n, ncols))
-            )
+            self.observed.append(observed[order])
+            self.pattern.append(csr_matrix((self._buf, cols[order], indptr), shape=(n, ncols)))
 
     def _residual(self, x, kr, mode):
-        """Model minus data at the observed entries, in mode-`mode` order."""
-        return (x @ kr.T).ravel().take(self.flat[mode]) - self.observed[mode].data
+        """Model minus data at the observed entries, in mode-`mode` order,
+        written into the shared buffer."""
+        # the offsets are in range by construction; "clip" lets take
+        # write straight into `out`, where "raise" goes through a copy
+        r = np.take((x @ kr.T).ravel(), self.flat[mode], out=self._buf, mode="clip")
+        r -= self.observed[mode]
+        return r
 
     def value(self, factors):
         r = self._residual(factors[0], khatri_rao(factors, skip=0), 0)
@@ -206,15 +215,22 @@ class _MaskedLoss:
         """Gradient in factor `mode` at value `x`, where `kr` is the
         Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR,
         summed over the observed entries only."""
-        s = self.observed[mode]
-        return csr_matrix((self._residual(x, kr, mode), s.indices, s.indptr), shape=s.shape) @ kr
+        self._residual(x, kr, mode)
+        return self.pattern[mode] @ kr
 
     @staticmethod
-    def curvature(kr, sqrt_fraction, rho):
-        """Block curvature rho * sqrt(observed fraction) * ||kr||_2^2,
-        floored so step sizes stay finite even for zero factors."""
-        # Power iteration on the Gram matrix gives ||kr||_2^2 directly.
-        return max(rho * sqrt_fraction * spectral_norm_est(kr.T @ kr), LIPSCHITZ_FLOOR)
+    def curvature(factors, mode, sqrt_fraction, rho):
+        """Block curvature rho * sqrt(observed fraction) * ||KR||_2^2 of
+        factor `mode`, floored so step sizes stay finite even for zero
+        factors. KR^T KR is the Hadamard product of the other modes'
+        Grams, so ||KR||_2^2 is the largest singular value of a k x k
+        matrix built in O(sum(n_i) k^2)."""
+        k = factors[0].shape[1]
+        gram = np.ones((k, k))
+        for i, f in enumerate(factors):
+            if i != mode:
+                gram *= f.T @ f
+        return max(rho * sqrt_fraction * spectral_norm_est(gram), LIPSCHITZ_FLOOR)
 
 
 def _reference_loss(data, mask, factors):
@@ -242,21 +258,22 @@ def smooth_grad(data, mask, factors, mode):
 
 
 def estimate_lipschitz(factors, mode, n_observed, rho=1.0):
-    """Curvature estimate for one block of the masked loss.
+    """Curvature of one block of the masked loss.
 
     Scales the squared spectral norm of the Khatri-Rao matrix of the
-    remaining modes by rho * sqrt(observed fraction). Floored at a small
-    positive value so step sizes stay finite even for zero factors.
+    remaining modes by rho * sqrt(observed fraction). That norm is taken
+    exactly from the Hadamard product of the remaining modes' Grams,
+    without forming the Khatri-Rao matrix. Floored at a small positive
+    value so step sizes stay finite even for zero factors.
     """
-    shape, k = validate_factors(factors)
+    shape, _ = validate_factors(factors)
     total = math.prod(shape)
     if not 0 <= n_observed <= total:
         raise ValueError(f"n_observed must lie in [0, {total}], got {n_observed}")
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if k == 0:
-        return LIPSCHITZ_FLOOR
-    return _MaskedLoss.curvature(khatri_rao(factors, skip=mode), np.sqrt(n_observed / total), rho)
+    mats = [np.asarray(f, dtype=np.float64) for f in factors]
+    return _MaskedLoss.curvature(mats, mode, np.sqrt(n_observed / total), rho)
 
 
 def extrapolation_weight(l_prev, l_curr, t, delta=0.95):
@@ -378,7 +395,7 @@ def bcde_solve(data, mask, config):
                     w = 0.0
                 xhat = fac[j] + w * (fac[j] - pv[j])
                 kr = khatri_rao(fac, skip=j)
-                lip = mult * loss.curvature(kr, loss.sqrt_fraction, config.rho)
+                lip = mult * loss.curvature(fac, j, loss.sqrt_fraction, config.rho)
                 grad = loss.block_grad(xhat, kr, j)
                 pv[j] = fac[j]
                 fac[j] = _prox_mode(xhat - grad / lip, terms[j], lam, lip)

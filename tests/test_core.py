@@ -160,31 +160,59 @@ class TestCpReconstruct:
         assert not t.any()
 
 
+def _sigma_max(m):
+    return np.linalg.svd(m, compute_uv=False)[0]
+
+
 class TestSpectralNormEst:
     def test_identity(self):
-        assert spectral_norm_est(np.eye(3)) == pytest.approx(1.0, abs=1e-9)
+        assert spectral_norm_est(np.eye(3)) == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal(self):
-        est = spectral_norm_est(np.diag([3.0, 1.0]), tol=1e-12)
-        assert est == pytest.approx(3.0, rel=1e-8)
+        assert spectral_norm_est(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-12)
 
     def test_against_svd(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((20, 8))
-        oracle = np.linalg.svd(m, compute_uv=False)[0]
-        est = spectral_norm_est(m, tol=1e-12, max_iters=5000)
-        assert abs(est - oracle) <= 1e-8 * oracle
+        m = np.random.default_rng(5).standard_normal((20, 8))
+        assert spectral_norm_est(m) == pytest.approx(_sigma_max(m), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 20), (1, 6), (6, 1), (10, 10)])
+    def test_rectangular(self, shape):
+        m = np.random.default_rng(7).standard_normal(shape)
+        assert spectral_norm_est(m) == pytest.approx(_sigma_max(m), rel=1e-12)
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 7))
+        assert np.linalg.matrix_rank(m) == 2
+        assert spectral_norm_est(m) == pytest.approx(_sigma_max(m), rel=1e-12)
+        # a rank-one Gram, as a Hadamard product of rank-one Grams is
+        v = rng.standard_normal((5, 1))
+        assert spectral_norm_est(v @ v.T) == pytest.approx(np.sum(v * v), rel=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             m = rng.standard_normal((7, 5))
-            est = spectral_norm_est(m, tol=1e-10, max_iters=5000)
-            assert est <= np.linalg.norm(m) + 1e-8
-            assert est >= np.linalg.norm(m, axis=0).max() - 1e-8
+            est = spectral_norm_est(m)
+            assert est <= np.linalg.norm(m) * (1 + 1e-12)
+            assert est >= np.linalg.norm(m, axis=0).max() * (1 - 1e-12)
 
     def test_zero_matrix(self):
         assert spectral_norm_est(np.zeros((4, 4))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        assert spectral_norm_est(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gives_nan(self, bad):
+        m = np.ones((3, 3))
+        m[1, 2] = bad
+        assert math.isnan(spectral_norm_est(m))
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            spectral_norm_est(np.ones(3))
 
 
 class TestMaskedResidual:

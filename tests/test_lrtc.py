@@ -427,3 +427,65 @@ def test_masked_loss_holds_no_dense_copy():
         tracemalloc.stop()
     assert loss.sqrt_fraction > 0.0
     assert peak < data.nbytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    k=st.integers(0, 4),
+    rho=st.floats(0.01, 100.0),
+    observed=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curvature_is_exact_squared_kr_norm(shape, k, rho, observed, seed):
+    # the Hadamard product of the other modes' Grams is KR^T KR, so the
+    # curvature is rho * sqrt(fraction) * sigma_max(KR)^2 to rounding
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    total = int(np.prod(shape))
+    n_observed = int(round(observed * total))
+    sqrt_fraction = np.sqrt(n_observed / total)
+    for j in range(len(shape)):
+        if k == 0:
+            want = LIPSCHITZ_FLOOR
+        else:
+            sigma = np.linalg.svd(khatri_rao(factors, skip=j), compute_uv=False)[0]
+            want = max(rho * sqrt_fraction * sigma**2, LIPSCHITZ_FLOOR)
+        got = _MaskedLoss.curvature(factors, j, sqrt_fraction, rho)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert estimate_lipschitz(factors, j, n_observed, rho) == pytest.approx(
+            want, rel=1e-12, abs=0.0
+        )
+
+
+def test_masked_loss_reuses_its_buffer_without_aliasing_results():
+    # one residual buffer serves every mode; interleaved calls must give
+    # the bits of a freshly built kernel, and returned gradients must not
+    # point into the buffer or change when it is refilled
+    shape = (4, 5, 3, 2)
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal(shape)
+    mask = sample_mask(shape, 0.6, seed=11)
+    loss = _MaskedLoss(data, mask)
+    buf = loss._buf
+    for pattern in loss.pattern:
+        assert np.shares_memory(pattern.data, buf)
+    calls = [("grad", 0), ("grad", 0), ("value", None), ("grad", 2), ("grad", 1),
+             ("value", None), ("grad", 2), ("grad", 3), ("grad", 0), ("value", None)]
+    kept = []
+    for what, mode in calls:
+        factors = [rng.standard_normal((n, 3)) for n in shape]
+        fresh = _MaskedLoss(data, mask)
+        if what == "value":
+            assert loss.value(factors) == fresh.value(factors)
+            continue
+        kr = khatri_rao(factors, skip=mode)
+        got = loss.block_grad(factors[mode], kr, mode)
+        want = fresh.block_grad(factors[mode], kr, mode)
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, buf)
+        kept.append((got, want))
+    assert loss._buf is buf
+    for got, want in kept:
+        assert np.array_equal(got, want)
