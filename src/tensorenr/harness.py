@@ -3,14 +3,26 @@
 The harness generates random low-rank tensors, corrupts them (dense
 noise, missing entries, sparse outliers), runs a configured solver over a
 penalty grid and emits one CSV row per (lambda, seed) run plus a summary
-row per lambda. Runs never abort the batch: failures are caught and
-recorded in the row's error column.
+row per lambda. Runs never abort the batch: failures, including a worker
+process that dies, are caught and recorded in the row's error column.
+
+The (lambda, seed) cells of a grid are independent solves, so
+`run_experiment` runs them on a process pool of min(os.cpu_count(),
+number of cells) workers and writes the rows in grid order. The workers
+are forked ("fork" context), so they skip re-importing numpy and scipy
+and see the caller's monkeypatches; forkserver, the Linux default from
+Python 3.14, would give neither. Each row's seconds are the cell's wall
+time inside its worker. Workers inherit the caller's BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,29 +286,87 @@ def _fmt(x, spec_="%.10g"):
     return spec_ % x
 
 
+def _failure(exc):
+    """Error-column text for a failed cell: ``Type: message``."""
+    msg = str(exc).replace(",", ";").replace("\n", " ")
+    return f"{type(exc).__name__}: {msg}"
+
+
+def _run_cell(spec, seed, lam, timing):
+    """One cell in a pool worker: ``run_single``'s result, or the failure
+    text if it raised. ``run_single`` is looked up by its module-global
+    name, so a forked worker runs whatever the caller bound there."""
+    try:
+        return run_single(spec, seed, lam, timing=timing)
+    except Exception as exc:  # noqa: BLE001 - keep the batch alive
+        return _failure(exc)
+
+
+def _submit(pool, spec, seed, lam, timing):
+    """Queue one cell; once the pool is broken, the cell is lost with it."""
+    try:
+        return pool.submit(_run_cell, spec, seed, lam, timing)
+    except BrokenProcessPool as exc:
+        lost = Future()
+        lost.set_exception(exc)
+        return lost
+
+
+def _outcome(future):
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:  # the cell's worker, or another, died
+        return _failure(exc)
+
+
 def run_experiment(spec, timing=True, out_path=None):
     """Run the full (lambda x seed) grid and return the report as CSV text.
 
-    With ``timing=False`` the seconds column is zeroed, which makes the
-    output byte-identical across reruns of the same spec.
+    The cells run on a ``ProcessPoolExecutor`` created for this call, with
+    min(``os.cpu_count()``, number of cells) workers. Cells are submitted
+    one at a time in grid order, so a free worker takes the next cell, and
+    the rows are written in grid order whatever order the cells finish in.
+    The workers are forked from the caller (the ``"fork"`` context, not
+    the platform default, which is forkserver on Linux from Python 3.14):
+    a forked worker starts without importing numpy and scipy afresh and
+    runs the caller's bindings, monkeypatches included. Workers inherit
+    the caller's BLAS thread setting and do not pin it, which would need
+    threadpoolctl (not a dependency) or ctypes calls into the BLAS
+    library; set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable)
+    before numpy loads to give each worker one BLAS thread.
+
+    The seconds column is each cell's wall time measured inside its
+    worker. With ``timing=False`` it is zeroed, which makes the output
+    byte-identical across reruns of the same spec. A cell that raises, or
+    that is lost because a worker process died and broke the pool, gets a
+    failure row (``BrokenProcessPool: ...`` for a lost cell), and its
+    lambda's summary row counts it.
     """
     rate = spec.missing_rate if spec.task == "lrtc" else spec.sparse_density
     p_eff = spec.reg.effective_p if spec.reg is not None else None
+    cells = [(lam, seed) for lam in spec.lambda_values() for seed in spec.seeds]
+    workers = min(os.cpu_count() or 1, len(cells))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [_submit(pool, spec, seed, lam, timing) for lam, seed in cells]
+        outcomes = iter([_outcome(f) for f in futures])
+    finally:
+        # An interrupted call waits only for the cells already handed out.
+        pool.shutdown(cancel_futures=True)
     lines = [CSV_COLUMNS]
     for lam in spec.lambda_values():
         errs, psnrs, ranks, secs = [], [], [], []
         failures = 0
         for seed in spec.seeds:
-            try:
-                metrics, iters = run_single(spec, seed, lam, timing=timing)
-            except Exception as exc:  # noqa: BLE001 - keep the batch alive
+            outcome = next(outcomes)
+            if isinstance(outcome, str):
                 failures += 1
-                msg = str(exc).replace(",", ";").replace("\n", " ")
                 lines.append(
                     f"{spec.task},run,{seed},{_fmt(lam)},{_fmt(p_eff)},{_fmt(rate)},"
-                    f",,,,,,{type(exc).__name__}: {msg}"
+                    f",,,,,,{outcome}"
                 )
                 continue
+            metrics, iters = outcome
             errs.append(metrics.relative_error)
             psnrs.append(metrics.psnr)
             ranks.append(metrics.final_rank)

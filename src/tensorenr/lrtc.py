@@ -267,6 +267,8 @@ def estimate_lipschitz(factors, mode, n_observed, rho=1.0):
     value so step sizes stay finite even for zero factors.
     """
     shape, _ = validate_factors(factors)
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for order-{len(shape)} factors")
     total = math.prod(shape)
     if not 0 <= n_observed <= total:
         raise ValueError(f"n_observed must lie in [0, {total}], got {n_observed}")

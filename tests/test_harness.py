@@ -1,3 +1,8 @@
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -327,6 +332,75 @@ class TestRunExperiment:
         summary = text.strip().splitlines()[-1].split(",")
         assert summary[1] == "summary"
         assert summary[-1] == "2 failed"
+
+    def test_rows_in_grid_order_whatever_order_cells_finish(self, monkeypatch):
+        import tensorenr.harness as hs
+
+        real = hs.run_single
+        spec = self.small_spec(seeds=(0, 1), lambdas=(0.0, 0.1, 0.5))
+        first = (spec.lambdas[0], spec.seeds[0])
+
+        def slow_first(spec, seed, lam, timing=True):
+            if (lam, seed) == first:
+                time.sleep(0.5)
+            return real(spec, seed, lam, timing=timing)
+
+        monkeypatch.setattr(hs, "run_single", slow_first)
+        # Three workers on any machine, so the first cell finishes last.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        text = run_experiment(spec, timing=False)
+        run_rows = [r.split(",") for r in text.splitlines()[1:] if r.split(",")[1] == "run"]
+        grid = [(lam, seed) for lam in spec.lambdas for seed in spec.seeds]
+        assert [(float(r[3]), int(r[2])) for r in run_rows] == grid
+        for row, (lam, seed) in zip(run_rows, grid):
+            metrics, iters = real(spec, seed, lam, timing=False)
+            assert row[6] == "%.10g" % metrics.relative_error
+            assert int(row[9]) == metrics.final_rank
+            assert int(row[10]) == iters
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_experiment(spec, timing=False) == text
+
+    def test_dead_worker_gives_failure_rows(self, monkeypatch):
+        import tensorenr.harness as hs
+
+        real = hs.run_single
+        caller = os.getpid()
+
+        def dies(spec, seed, lam, timing=True):
+            if seed == 1:
+                # In the calling process, fail the test instead of ending it.
+                if os.getpid() == caller:
+                    raise AssertionError("cell ran in the calling process")
+                os._exit(3)
+            return real(spec, seed, lam, timing=timing)
+
+        monkeypatch.setattr(hs, "run_single", dies)
+        spec = self.small_spec(seeds=(0, 1, 2), lambdas=(0.1, 0.5))
+        text = run_experiment(spec, timing=False)
+        rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["run"] * 3 + ["summary"] + ["run"] * 3 + ["summary"]
+        for block in (rows[:4], rows[4:]):
+            assert block[1][2] == "1" and block[1][-1].startswith("BrokenProcessPool: ")
+            failed = [r for r in block[:3] if r[-1]]
+            assert all(r[-1].startswith("BrokenProcessPool: ") for r in failed)
+            assert block[3][-1] == f"{len(failed)} failed"
+
+    def test_cells_not_submitted_to_a_broken_pool_get_failure_rows(self, monkeypatch):
+        import tensorenr.harness as hs
+
+        class BreaksAfterTwo(ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                if self.submitted > 2:
+                    raise BrokenProcessPool("pool broke")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(hs, "ProcessPoolExecutor", BreaksAfterTwo)
+        text = run_experiment(self.small_spec(seeds=(0, 1, 2)), timing=False)
+        rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
+        assert [r[-1] for r in rows] == ["", "", "BrokenProcessPool: pool broke", "1 failed"]
 
 
 class TestBestLambda:

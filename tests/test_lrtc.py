@@ -165,6 +165,12 @@ class TestEstimateLipschitz:
         with pytest.raises(ValueError):
             estimate_lipschitz(f, 0, n_observed=4, rho=0.0)
 
+    @pytest.mark.parametrize("mode", [3, 7, -1])
+    def test_bad_mode(self, mode):
+        f = [np.ones((2, 1))] * 3
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_lipschitz(f, mode, n_observed=4)
+
 
 class TestExtrapolationWeight:
     def test_first_two_sweeps_are_zero(self):
