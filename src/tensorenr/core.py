@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import khatri_rao as _khatri_rao_pair
 
 MAX_ORDER = 6
 # Mask offsets are int64, so no tensor may hold more entries.
@@ -105,7 +104,8 @@ def khatri_rao(factors, skip=None):
         raise ValueError("factors must be 2-d with a common column count")
     out = mats[-1]
     for f in mats[-2::-1]:
-        out = _khatri_rao_pair(out, f)
+        # an explicit row count: reshape(-1, k) is ambiguous at k == 0
+        out = (out[:, None, :] * f).reshape(out.shape[0] * f.shape[0], k)
     return out
 
 

@@ -238,11 +238,12 @@ def prox_ridge_scale(matrix, lipschitz, lam):
 
 
 def soft_threshold_elem(tensor, lam):
-    """Elementwise soft threshold sign(v) * max(|v| - lam, 0)."""
+    """Elementwise soft threshold sign(v) * max(|v| - lam, 0), computed as
+    v - clip(v, -lam, lam); entries inside the band come out as +0.0."""
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     t = np.asarray(tensor, dtype=np.float64)
-    return np.sign(t) * np.maximum(np.abs(t) - lam, 0.0)
+    return t - np.clip(t, -lam, lam)
 
 
 def _irls_penalty(norms, q, eps):

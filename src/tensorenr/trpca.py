@@ -22,7 +22,10 @@ scaled by s:
   objective is monotone because every block update is an exact minimizer.
 
 The three share one driver loop and differ only in their sweep, in which
-modes are split and in the per-mode penalty terms.
+modes are split and in the per-mode penalty terms. Each sweep returns the
+fit D - CP(F) at its new factors; the driver thresholds that one tensor
+into the new sparse term and evaluates the objective from it, so an
+iteration forms CP(F) once (twice when it prunes) and D - E once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .core import cp_reconstruct, khatri_rao, unfold, validate_factors
 from .lrtc import _Run, init_factors
@@ -81,14 +84,26 @@ def _check_data(data):
     return d
 
 
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _solve_right(gram, rhs):
-    """Solve X @ gram = rhs for X with an SPD factorization, falling back
-    to least squares if the system is numerically singular."""
-    try:
-        factor = cho_factor(gram)
-        return cho_solve(factor, rhs.T).T
-    except np.linalg.LinAlgError:
+    """Solve X @ gram = rhs for X with a Cholesky factorization of the
+    symmetric k x k `gram`, falling back to least squares if it is not
+    numerically positive definite.
+
+    The LAPACK routines are called directly with the arguments that
+    ``cho_factor``/``cho_solve`` pass, so the result is theirs bit for
+    bit, and non-finite input raises the same ValueError.
+    """
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if rhs.size == 0:
+        return np.zeros(rhs.shape)
+    factor, info = _POTRF(gram, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
         return np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
+    return _POTRS(factor, rhs.T, lower=False, overwrite_b=False)[0].T
 
 
 def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
@@ -101,61 +116,75 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
     where KR is the Khatri-Rao matrix of the other modes, giving
 
         X = ((D - E)_(j) @ KR + mu*Y + Z) @ (KR^T KR + mu*I)^{-1}.
+
+    `aux` (Y) and `dual` (Z) must have the shape (n_mode, k) of the block.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
+    shape, k = validate_factors(factors)
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
+    y = np.asarray(aux, dtype=np.float64)
+    z = np.asarray(dual, dtype=np.float64)
+    if y.shape != (shape[mode], k) or z.shape != (shape[mode], k):
+        raise ValueError(
+            f"aux and dual must have shape {(shape[mode], k)}, got {y.shape} and {z.shape}"
+        )
     d = _check_data(data)
     e = np.asarray(sparse, dtype=np.float64)
-    shape, k = validate_factors(factors)
     if d.shape != shape or e.shape != shape:
         raise ValueError("data, sparse term and factors have mismatched shapes")
     kr = khatri_rao(factors, skip=mode)
     gram = kr.T @ kr + mu * np.eye(k)
-    rhs = unfold(d - e, mode) @ kr + mu * np.asarray(aux) + np.asarray(dual)
+    rhs = unfold(d - e, mode) @ kr + mu * y + z
     return _solve_right(gram, rhs)
 
 
-def _objective(data, factors, sparse, terms, lam_x, lam_e):
-    """Unaugmented objective; `terms` holds each mode's (coeff, exponent)."""
-    res = data - cp_reconstruct(factors) - sparse
+def _objective(fit, factors, sparse, terms, lam_x, lam_e):
+    """Unaugmented objective at the fit D - CP(F) of `factors`; `terms`
+    holds each mode's (coeff, exponent)."""
+    res = fit - sparse
     pen = sum(c * float(np.sum(np.linalg.norm(f, axis=0) ** e)) for f, (c, e) in zip(factors, terms))
     return 0.5 * float(np.sum(res * res)) + lam_x * pen + lam_e * float(np.sum(np.abs(sparse)))
 
 
-def _admm_sweep(data, sparse, factors, aux, duals, lam_x, lam_e, mu):
+def _ridge_updates(target, factors, modes, ridge):
+    """Replace factors[j], for each j in `modes` in turn, by the exact
+    minimizer of 0.5*||target_(j) - X @ KR^T||^2 + 0.5*ridge*||X||^2."""
+    k = factors[0].shape[1]
+    for j in modes:
+        kr = khatri_rao(factors, skip=j)
+        gram = kr.T @ kr + ridge * np.eye(k)
+        factors[j] = _solve_right(gram, unfold(target, j) @ kr)
+
+
+def _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu):
     """One full iteration of the splitting solver; mutates the factor,
-    auxiliary and dual lists in place and returns the new sparse term."""
+    auxiliary and dual lists in place and returns the fit D - CP(F)."""
     for j in range(len(factors)):
         factors[j] = trpca_x_update(data, sparse, factors, aux[j], duals[j], j, mu)
         aux[j] = prox_group_soft(factors[j] - duals[j] / mu, lam_x / mu)
         duals[j] = duals[j] + mu * (aux[j] - factors[j])
-    return soft_threshold_elem(data - cp_reconstruct(factors), lam_e)
+    return data - cp_reconstruct(factors)
 
 
-def _asym_sweep(data, sparse, factors, aux0, dual0, q, lam_x, lam_e, mu):
+def _asym_sweep(data, sparse, factors, aux0, dual0, q, lam_x, mu):
     """One full iteration of the mode-0 splitting solver. Returns the new
-    (aux0, dual0, sparse)."""
+    (aux0, dual0) and the fit D - CP(F)."""
     factors[0] = trpca_x_update(data, sparse, factors, aux0, dual0, 0, mu)
     aux0 = prox_irls(factors[0] - dual0 / mu, q, lam_x / mu)
     dual0 = dual0 + mu * (aux0 - factors[0])
-    k = factors[0].shape[1]
-    for j in range(1, len(factors)):
-        kr = khatri_rao(factors, skip=j)
-        gram = kr.T @ kr + lam_x * np.eye(k)
-        factors[j] = _solve_right(gram, unfold(data - sparse, j) @ kr)
-    return aux0, dual0, soft_threshold_elem(data - cp_reconstruct(factors), lam_e)
+    _ridge_updates(data - sparse, factors, range(1, len(factors)), lam_x)
+    return aux0, dual0, data - cp_reconstruct(factors)
 
 
-def _als_sweep(data, sparse, factors, lam_x, lam_e):
-    """One full iteration of alternating ridge least squares. Every block
-    update is an exact minimizer, so the objective cannot increase."""
+def _als_sweep(data, sparse, factors, lam_x):
+    """One full iteration of alternating ridge least squares; returns the
+    fit D - CP(F). Every block update is an exact minimizer, so the
+    objective cannot increase."""
     d = len(factors)
-    k = factors[0].shape[1]
-    for j in range(d):
-        kr = khatri_rao(factors, skip=j)
-        gram = kr.T @ kr + (2.0 * lam_x / d) * np.eye(k)
-        factors[j] = _solve_right(gram, unfold(data - sparse, j) @ kr)
-    return soft_threshold_elem(data - cp_reconstruct(factors), lam_e)
+    _ridge_updates(data - sparse, factors, range(d), 2.0 * lam_x / d)
+    return data - cp_reconstruct(factors)
 
 
 def _relative_change(new, old):
@@ -178,19 +207,24 @@ def _drive(data, config, split, terms, sweep):
     `split` lists the modes that carry an auxiliary copy and a dual
     variable, and `terms` the per-mode (coeff, exponent) penalty of the
     objective. ``sweep(sparse, factors, aux, duals)`` runs one iteration:
-    it updates the three lists in place and returns the new sparse term.
-    A component is pruned when its auxiliary column is zero in every split
-    mode. The solve stops when the rank reaches zero or, after a sweep
-    without pruning, when factors and sparse term both change by less than
-    ``conv_tol`` relatively. Returns (report, sparse_term).
+    it updates the three lists in place and returns the fit D - CP(F) at
+    the new factors. The new sparse term is that fit soft-thresholded at
+    ``lam_e``, and the objective is evaluated from the same fit, so no
+    reconstruction is repeated. A component is pruned when its auxiliary
+    column is zero in every split mode; its factor columns need not be
+    zero, so the fit is then formed again for the objective. The solve
+    stops when the rank reaches zero or, after a sweep without pruning,
+    when factors and sparse term both change by less than ``conv_tol``
+    relatively. Returns (report, sparse_term).
     """
     factors = init_factors(data.shape, config.k_init, config.rng_seed)
     aux = [factors[j].copy() for j in split]
     duals = [np.zeros_like(factors[j]) for j in split]
     sparse = np.zeros(data.shape)
+    fit = data - cp_reconstruct(factors)
 
     run = _Run()
-    run.record(_objective(data, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
+    run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
     converged = False
     iterations = 0
 
@@ -198,7 +232,8 @@ def _drive(data, config, split, terms, sweep):
         iterations = t
         prev_factors = [f.copy() for f in factors]
         prev_sparse = sparse
-        sparse = sweep(sparse, factors, aux, duals)
+        fit = sweep(sparse, factors, aux, duals)
+        sparse = soft_threshold_elem(fit, config.lam_e)
 
         pruned = False
         if aux:
@@ -206,9 +241,10 @@ def _drive(data, config, split, terms, sweep):
             pruned = not np.all(keep)
         if pruned:
             factors, aux, duals = ([m[:, keep] for m in mats] for mats in (factors, aux, duals))
+            fit = data - cp_reconstruct(factors)
 
         k = factors[0].shape[1]
-        run.record(_objective(data, factors, sparse, terms, config.lam_x, config.lam_e), k)
+        run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), k)
         converged = k == 0 or (
             not pruned
             and max(_relative_change(f, p) for f, p in zip(factors, prev_factors)) < config.conv_tol
@@ -230,10 +266,10 @@ def trpca_admm_solve(data, config):
     """
     d = _check_data(data)
     _require_sym_exponent(config.spec, 1.0, "trpca_admm_solve")
-    lam_x, lam_e, mu = config.lam_x, config.lam_e, config.mu
+    lam_x, mu = config.lam_x, config.mu
 
     def sweep(sparse, factors, aux, duals):
-        return _admm_sweep(d, sparse, factors, aux, duals, lam_x, lam_e, mu)
+        return _admm_sweep(d, sparse, factors, aux, duals, lam_x, mu)
 
     return _drive(d, config, range(d.ndim), [(1.0, 1.0)] * d.ndim, sweep)
 
@@ -249,13 +285,11 @@ def trpca_asym_solve(data, config):
         q = config.spec.q
     if q is None or not 0.0 < q < 1.0:
         raise ValueError(f"trpca_asym_solve requires q in (0, 1), got {q}")
-    lam_x, lam_e, mu = config.lam_x, config.lam_e, config.mu
+    lam_x, mu = config.lam_x, config.mu
 
     def sweep(sparse, factors, aux, duals):
-        aux[0], duals[0], sparse = _asym_sweep(
-            d, sparse, factors, aux[0], duals[0], q, lam_x, lam_e, mu
-        )
-        return sparse
+        aux[0], duals[0], fit = _asym_sweep(d, sparse, factors, aux[0], duals[0], q, lam_x, mu)
+        return fit
 
     terms = [(1.0 / q, q)] + [(0.5, 2.0)] * (d.ndim - 1)
     return _drive(d, config, [0], terms, sweep)
@@ -270,7 +304,7 @@ def trpca_als_solve(data, config):
     _require_sym_exponent(config.spec, 2.0, "trpca_als_solve")
 
     def sweep(sparse, factors, aux, duals):
-        return _als_sweep(d, sparse, factors, config.lam_x, config.lam_e)
+        return _als_sweep(d, sparse, factors, config.lam_x)
 
     return _drive(d, config, [], [(1.0 / d.ndim, 2.0)] * d.ndim, sweep)
 

@@ -329,7 +329,7 @@ def test_c9_solver_contracts():
     aux = [f + 0.1 * rng.standard_normal(f.shape) for f in factors]
     duals = [np.zeros_like(f) for f in factors]
     mu = 10.0
-    _admm_sweep(data, sparse, factors, aux, duals, 0.3, 0.2, mu)
+    _admm_sweep(data, sparse, factors, aux, duals, 0.3, mu)
     for j in range(3):
         assert np.array_equal(duals[j], mu * (aux[j] - factors[j]))
     assert time.perf_counter() - start < 60.0

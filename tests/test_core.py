@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy import stats
 
 from tensorenr.core import (
@@ -100,6 +101,27 @@ def test_unfold_index_map(shape, seed):
                 stride *= n
         assert u.shape == (shape[j], stride)
         assert np.array_equal(u[idx[j], col], flat[offsets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    k=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_khatri_rao_matches_chained_scipy_pairs(shape, k, seed):
+    # the broadcast product is scipy's pairwise khatri_rao chained from the
+    # last mode down, bit for bit, for every skip; at k == 0 it is (prod n, 0)
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    for skip in [None, *range(len(shape))]:
+        mats = [f for j, f in enumerate(factors) if j != skip]
+        want = mats[-1]
+        for f in mats[-2::-1]:
+            want = scipy.linalg.khatri_rao(want, f)
+        got = khatri_rao(factors, skip=skip)
+        assert got.shape == (math.prod(f.shape[0] for f in mats), k)
+        assert np.array_equal(got, want)
 
 
 class TestKhatriRao:

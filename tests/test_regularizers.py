@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from tensorenr.core import cp_reconstruct
@@ -346,6 +348,26 @@ class TestProxIrls:
         for bad in (0.0, 1.0, 1.5, -0.5):
             with pytest.raises(ValueError):
                 prox_irls(np.ones((2, 2)), bad, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(1e299, 1e301).flatmap(lambda v: st.sampled_from([v, -v])),
+            st.sampled_from([0.0, -0.0]),
+        ),
+        max_size=12,
+    ),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 1e301), st.floats(1e299, 1e301)),
+)
+def test_soft_threshold_matches_sign_formula(values, lam):
+    # t - clip(t, -lam, lam) equals sign(t) * max(|t| - lam, 0) entry for
+    # entry (zeros compare equal whatever their sign), with entries at +-lam
+    t = np.array(values + [lam, -lam])
+    want = np.sign(t) * np.maximum(np.abs(t) - lam, 0.0)
+    assert np.array_equal(soft_threshold_elem(t, lam), want)
 
 
 class TestSoftThresholdElem:

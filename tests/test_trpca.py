@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from helpers import grid_minimize
+from scipy.linalg import cho_factor, cho_solve
 
+from tensorenr import harness, trpca
 from tensorenr.core import cp_reconstruct, khatri_rao, unfold
 from tensorenr.lrtc import init_factors
 from tensorenr.regularizers import (
@@ -15,6 +17,7 @@ from tensorenr.trpca import (
     _als_sweep,
     _asym_sweep,
     _objective,
+    _solve_right,
     sparsity_summary,
     trpca_admm_solve,
     trpca_als_solve,
@@ -104,6 +107,77 @@ class TestXUpdate:
         with pytest.raises(ValueError):
             trpca_x_update(data, sparse, factors, aux[0], duals[0], 0, mu=0.0)
 
+    @pytest.mark.parametrize("mode", [-1, 3, 7])
+    def test_mode_out_of_range_rejected_before_any_product(self, mode, monkeypatch):
+        data, factors, sparse, aux, duals = random_instance((3, 4, 5), 2, 6)
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("a Khatri-Rao product was formed")
+
+        monkeypatch.setattr(trpca, "khatri_rao", no_product)
+        with pytest.raises(ValueError, match="out of range"):
+            trpca_x_update(data, sparse, factors, aux[0], duals[0], mode, 1.0)
+
+    @pytest.mark.parametrize("which", ["aux", "dual"])
+    @pytest.mark.parametrize("shape", [(1, 2), (2,), (3, 1), (4, 2)])
+    def test_block_shaped_aux_and_dual_required(self, which, shape):
+        # mode 0 has block shape (3, 2); (1, 2), (2,) and (3, 1) would
+        # broadcast into a wrong answer
+        data, factors, sparse, aux, duals = random_instance((3, 4, 5), 2, 7)
+        args = {"aux": aux[0], "dual": duals[0], which: np.ones(shape)}
+        with pytest.raises(ValueError, match="aux and dual must have shape"):
+            trpca_x_update(data, sparse, factors, args["aux"], args["dual"], 0, 1.0)
+
+
+class TestSolveRight:
+    @pytest.mark.parametrize("n, k", [(4, 1), (7, 3), (30, 10)])
+    def test_spd_matches_scipy_cholesky(self, n, k):
+        rng = np.random.default_rng(n)
+        kr = rng.standard_normal((n * n, k))
+        gram = kr.T @ kr + 0.1 * np.eye(k)
+        rhs = rng.standard_normal((n, k))
+        assert np.array_equal(_solve_right(gram, rhs), cho_solve(cho_factor(gram), rhs.T).T)
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            np.zeros((2, 2)),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            # two identical Khatri-Rao columns of squared norm 4
+            np.full((2, 2), 4.0),
+        ],
+        ids=["zero", "indefinite", "repeated-column"],
+    )
+    def test_not_positive_definite_falls_back_to_lstsq(self, gram):
+        rhs = np.random.default_rng(1).standard_normal((3, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(gram)
+        want = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
+        assert np.array_equal(_solve_right(gram, rhs), want)
+
+    def test_als_repeated_column_without_ridge_is_least_squares(self):
+        # lam_x = 0 and two identical components: KR^T KR = [[4, 4], [4, 4]]
+        # is singular, and the mode-0 update is the least-squares solution
+        data = np.random.default_rng(2).standard_normal((2, 2, 2))
+        factors = [np.ones((2, 2)) for _ in range(3)]
+        kr = khatri_rao(factors, skip=0)
+        rhs = unfold(data, 0) @ kr
+        want = np.linalg.lstsq((kr.T @ kr).T, rhs.T, rcond=None)[0].T
+        _als_sweep(data, np.zeros(data.shape), factors, 0.0)
+        assert np.array_equal(factors[0], want)
+        assert all(np.all(np.isfinite(f)) for f in factors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["gram", "rhs"])
+    def test_non_finite_input_raises(self, bad, where):
+        gram, rhs = 2.0 * np.eye(2), np.ones((3, 2))
+        (gram if where == "gram" else rhs)[1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_right(gram, rhs)
+
+    def test_empty_system(self):
+        assert _solve_right(np.zeros((0, 0)), np.zeros((3, 0))).shape == (3, 0)
+
 
 def test_sparse_update_matches_grid_oracle():
     # the elementwise threshold is the exact minimizer of each entry's
@@ -136,7 +210,7 @@ class TestAdmmSolve:
         data, factors, sparse, aux, _ = random_instance((4, 4, 4), 2, 7)
         duals = [np.zeros_like(f) for f in factors]
         mu = 10.0
-        _admm_sweep(data, sparse, factors, aux, duals, 0.3, 0.2, mu)
+        _admm_sweep(data, sparse, factors, aux, duals, 0.3, mu)
         for j in range(3):
             assert np.array_equal(duals[j], mu * (aux[j] - factors[j]))
 
@@ -150,7 +224,8 @@ class TestAdmmSolve:
         duals = [np.zeros_like(m) for m in factors]
         sparse = np.zeros(data.shape)
         for _ in range(300):
-            sparse = _admm_sweep(data, sparse, factors, aux, duals, 0.05, 0.5, 10.0)
+            fit = _admm_sweep(data, sparse, factors, aux, duals, 0.05, 10.0)
+            sparse = soft_threshold_elem(fit, 0.5)
         primal = max(np.linalg.norm(aux[j] - factors[j]) for j in range(3))
         assert primal < 1e-4
 
@@ -209,9 +284,7 @@ class TestAsymSolve:
 
     def test_huge_ridge_flattens_late_modes(self):
         data, factors, sparse, aux, duals = random_instance((4, 4, 4), 2, 14)
-        _, _, _ = _asym_sweep(
-            data, np.zeros(data.shape), factors, aux[0], duals[0], 0.5, 1e12, 0.1, 10.0
-        )
+        _asym_sweep(data, np.zeros(data.shape), factors, aux[0], duals[0], 0.5, 1e12, 10.0)
         assert np.linalg.norm(factors[1]) < 1e-9
         assert np.linalg.norm(factors[2]) < 1e-9
 
@@ -338,20 +411,24 @@ def test_sparsity_summary():
 
 
 def _manual_first_iteration(solver, data, k, lam_x, lam_e, mu):
-    """One sweep from init_factors, done by hand: (factors, sparse, terms)."""
+    """One sweep from init_factors, done by hand: (factors, sparse, fit,
+    terms). The sweep returns the fit D - CP(F); the sparse term is its
+    soft threshold."""
     factors = init_factors(data.shape, k, 0)
     sparse = np.zeros(data.shape)
     if solver == "admm":
         aux = [f.copy() for f in factors]
         duals = [np.zeros_like(f) for f in factors]
-        sparse = _admm_sweep(data, sparse, factors, aux, duals, lam_x, lam_e, mu)
-        return factors, sparse, [(1.0, 1.0)] * 3
-    if solver == "asym":
+        fit = _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu)
+        terms = [(1.0, 1.0)] * 3
+    elif solver == "asym":
         aux0, dual0 = factors[0].copy(), np.zeros_like(factors[0])
-        _, _, sparse = _asym_sweep(data, sparse, factors, aux0, dual0, 0.5, lam_x, lam_e, mu)
-        return factors, sparse, [(2.0, 0.5), (0.5, 2.0), (0.5, 2.0)]
-    sparse = _als_sweep(data, sparse, factors, lam_x, lam_e)
-    return factors, sparse, [(1.0 / 3.0, 2.0)] * 3
+        _, _, fit = _asym_sweep(data, sparse, factors, aux0, dual0, 0.5, lam_x, mu)
+        terms = [(2.0, 0.5), (0.5, 2.0), (0.5, 2.0)]
+    else:
+        fit = _als_sweep(data, sparse, factors, lam_x)
+        terms = [(1.0 / 3.0, 2.0)] * 3
+    return factors, soft_threshold_elem(fit, lam_e), fit, terms
 
 
 SOLVER_ARGS = {"admm": {"spec": SYM_E1}, "asym": {"q": 0.5}, "als": {"spec": SYM_E2}}
@@ -364,12 +441,13 @@ def test_solver_first_iteration_matches_one_sweep(solver):
     data = clean_rank_one((5, 5, 5), 21)
     cfg = TrpcaConfig(k_init=2, lam_x=0.3, lam_e=0.4, solver=solver, t_max=1, **SOLVER_ARGS[solver])
     rep, sparse = trpca_solve(data, cfg)
-    factors, manual, terms = _manual_first_iteration(solver, data, 2, 0.3, 0.4, cfg.mu)
+    factors, manual, fit, terms = _manual_first_iteration(solver, data, 2, 0.3, 0.4, cfg.mu)
     assert rep.final_rank == 2
     assert np.array_equal(sparse, manual)
     for got, want in zip(rep.factors, factors):
         assert np.array_equal(got, want)
-    assert rep.objective_trace[1] == _objective(data, factors, manual, terms, 0.3, 0.4)
+    assert np.array_equal(fit, data - cp_reconstruct(factors))
+    assert rep.objective_trace[1] == _objective(fit, factors, manual, terms, 0.3, 0.4)
 
 
 @pytest.mark.parametrize(
@@ -393,3 +471,31 @@ def test_objective_is_scaled_reg_value(solver, spec):
     res = data - cp_reconstruct(f0)
     want = 0.5 * float(np.sum(res * res)) + lam_x * scale * reg_value(f0, spec)
     assert rep.objective_trace[0] == pytest.approx(want, rel=1e-12)
+
+
+C8 = dict(task="trpca", shape=(30, 30, 30), true_rank=5, k_init=10, noise_level=0.1,
+          sparse_density=0.1, weights_mode="linear")
+
+
+@pytest.mark.parametrize(
+    "solver, arm, terms",
+    [
+        ("admm", {"reg": "sym:p=0.3333"}, [(1.0, 1.0)] * 3),
+        ("asym", {"q": 0.5}, [(2.0, 0.5), (0.5, 2.0), (0.5, 2.0)]),
+    ],
+)
+def test_objective_after_prune_uses_pruned_factors(solver, arm, terms):
+    # the driver reuses the sweep's fit D - CP(F) for the objective; after
+    # a prune the dropped factor columns are not zero, so the fit must be
+    # formed again. On the c8 instance at lam_x = 5 the rank falls from 10
+    # within the first three iterations; each t_max = t solve's last
+    # objective must equal the objective recomputed from its own output.
+    spec = harness.ExperimentSpec(solver=solver, **arm, **C8)
+    _, data, _ = harness.gen_trpca_data(spec, 0)
+    for t in range(1, 6):
+        cfg = TrpcaConfig(k_init=10, lam_x=5.0, lam_e=0.1, spec=spec.reg, q=spec.q,
+                          solver=solver, t_max=t)
+        rep, sparse = trpca_solve(data, cfg)
+        fit = data - cp_reconstruct(rep.factors)
+        assert rep.objective_trace[-1] == _objective(fit, rep.factors, sparse, terms, 5.0, 0.1)
+    assert rep.rank_trace[-1] < 10
