@@ -3,13 +3,15 @@
 Run from the repository root:
 
     python3 scripts/bench_pair.py --base HEAD~1 --head HEAD \\
-        --workload trpca_desk --seed 11 --pairs 10 --out BENCH_<n>.json
+        --workload trpca_desk --seed 11 --out BENCH_<n>.json
 
 Each revision is exported with ``git archive`` into a temporary directory,
-and ``perfbench/run.py --trace 0`` runs there, so each side builds what it
-runs from its own ``src/`` with its own benchmark files, as a fresh
-checkout would. Pair i runs the base first when i is even and the head
-first when it is odd. For every workload the output holds each pair's
+and ``perfbench/run.py --trace 0`` runs there for the ``run_seconds`` that
+``BENCHMARK.json`` fixes, so each side builds what it runs from its own
+``src/`` with its own benchmark files, as a fresh checkout would. Each
+workload gets ten alternating pairs, the count a claimed gain is judged
+on: pair i runs the base first when i is even and the head first when it
+is odd. For every workload the output holds each pair's
 end-to-end metrics and failure counts, each side's median and quartiles,
 and, per metric, the number of pairs in which the head was better (by the
 direction ``BENCHMARK.json`` declares; ties count for neither side). It
@@ -31,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def export(rev, dest):
@@ -79,10 +82,7 @@ def summarize(pairs, better):
 
 
 def blas_build():
-    try:
-        deps = np.show_config(mode="dicts")["Build Dependencies"]
-    except (TypeError, KeyError):  # numpy older than 1.26 has no dict mode
-        return "unknown"
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
     return {key: deps.get(key, {}) for key in ("blas", "lapack")}
 
 
@@ -93,14 +93,11 @@ def main(argv=None):
     p.add_argument("--workload", action="append", required=True,
                    help="workload name; repeat for several")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float,
-                   help="run length; default: run_seconds from BENCHMARK.json")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     report = {
@@ -124,13 +121,13 @@ def main(argv=None):
                 capture_output=True, text=True).stdout.strip()
         for workload in args.workload:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 pair = {"first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], workload, args.seed, seconds)
                 pairs.append(pair)
-                print(f"{workload} pair {i + 1}/{args.pairs}: "
+                print(f"{workload} pair {i + 1}/{PAIRS}: "
                       + ", ".join(f"{s} {pair[s]['metrics']}" for s in ("base", "head")),
                       file=sys.stderr, flush=True)
             report["workloads"][workload] = {"pairs": pairs, **summarize(pairs, better)}

@@ -25,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-C8 = dict(task="trpca", shape=(30, 30, 30), true_rank=5, k_init=10, noise_level=0.1,
-          sparse_density=0.1, weights_mode="linear")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from helpers import C8  # noqa: E402  (the instance the acceptance gate defines)
+
 ARMS = {"admm": dict(reg="sym:p=0.3333"), "asym": dict(q=0.5), "als": {}}
 SEEDS = (0, 1)
 LAMBDAS = (0.1, 5.0)

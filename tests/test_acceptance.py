@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import grid_minimize
+from helpers import C8, grid_minimize
 
 from tensorenr.core import cp_reconstruct, masked_residual, sample_mask
 from tensorenr.harness import (
@@ -274,11 +274,7 @@ def test_c8_sparse_penalty_halves_error_vs_ablation():
     # weights: each solver arm must reach at most half the mean error of
     # its own lam_e=0 ablation on the same seeds; budget 5 min.
     start = time.perf_counter()
-    base = dict(
-        task="trpca", shape=(30, 30, 30), true_rank=5, k_init=10,
-        noise_level=0.1, sparse_density=0.1, weights_mode="linear",
-        seeds=SEEDS10, lambdas=(0.1,),
-    )
+    base = dict(seeds=SEEDS10, lambdas=(0.1,), **C8)
     arms = (
         dict(solver="asym", q=0.5),
         dict(solver="admm", reg="sym:p=0.3333"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import grid_minimize
+from helpers import C8, grid_minimize
 from scipy.linalg import cho_factor, cho_solve
 
 from tensorenr import harness, trpca
@@ -471,10 +471,6 @@ def test_objective_is_scaled_reg_value(solver, spec):
     res = data - cp_reconstruct(f0)
     want = 0.5 * float(np.sum(res * res)) + lam_x * scale * reg_value(f0, spec)
     assert rep.objective_trace[0] == pytest.approx(want, rel=1e-12)
-
-
-C8 = dict(task="trpca", shape=(30, 30, 30), true_rank=5, k_init=10, noise_level=0.1,
-          sparse_density=0.1, weights_mode="linear")
 
 
 @pytest.mark.parametrize(
