@@ -12,7 +12,12 @@ every cell the factors, sparse term, ``recovered``, rank and objective
 traces, iteration count and ``converged`` must be exactly equal. The c8
 ``run_experiment(spec, timing=False)`` CSVs (both arms, lam_e 0.1 and 0,
 ten seeds) must be byte-identical. Prints one line per cell and exits
-non-zero on any difference.
+non-zero on any difference. For a solver cell that differs, the line also
+gives the size of the difference: the largest deviation of ``recovered``,
+of the factors and of the objective trace, each relative to the largest
+magnitude in the base's array (``n/a`` when the shapes differ), and
+whether the rank traces, iteration counts and ``converged`` match. For a
+CSV that differs it gives the number of differing lines.
 """
 
 import argparse
@@ -69,6 +74,31 @@ def same(a, b):
     return a == b
 
 
+def deviation(a, b):
+    """max |a - b| over max |a| for equal-shaped arrays, else None."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return None
+    scale = np.max(np.abs(a), initial=0.0)
+    gap = np.max(np.abs(a - b), initial=0.0)
+    return gap / scale if scale else gap
+
+
+def size_of_difference(want, got):
+    """How far a differing solver cell moved, as one line of text."""
+    factor_devs = [deviation(w, g) for w, g in zip(want["factors"], got["factors"])]
+    devs = {
+        "recovered": deviation(want["recovered"], got["recovered"]),
+        "factors": None if None in factor_devs or len(want["factors"]) != len(got["factors"])
+        else max(factor_devs),
+        "objective": deviation(want["objective_trace"], got["objective_trace"]),
+    }
+    parts = [f"max rel dev {k} {'n/a' if v is None else f'{v:.2e}'}" for k, v in devs.items()]
+    for name in ("rank_trace", "iterations", "converged"):
+        parts.append(f"{name} {'match' if want[name] == got[name] else 'DIFFER'}")
+    return "; ".join(parts)
+
+
 def run_tree(src, path):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     subprocess.run([sys.executable, __file__, "--dump", str(path)], env=env, check=True)
@@ -95,9 +125,15 @@ def main(argv=None):
         if isinstance(want, dict):
             diffs = [field for field in want if not same(want[field], got[field])]
             detail = f"iterations={want['iterations']} final_rank={want['rank_trace'][-1]}"
+            if diffs:
+                detail += "; " + size_of_difference(want, got)
         else:
             diffs = [] if want == got else ["csv"]
             detail = f"{len(want)} bytes"
+            if diffs:
+                lines = want.splitlines(), got.splitlines()
+                changed = sum(a != b for a, b in zip(*lines)) + abs(len(lines[0]) - len(lines[1]))
+                detail += f"; {changed} of {len(lines[0])} lines differ"
         bad += bool(diffs)
         print(f"{name}: {'DIFFERS in ' + ', '.join(diffs) if diffs else 'identical'} ({detail})")
     print(f"{len(base) - bad} of {len(base)} identical")

@@ -328,15 +328,13 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so numeric failures come first
     except (NumericFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, FormatError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

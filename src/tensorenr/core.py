@@ -109,6 +109,51 @@ def khatri_rao(factors, skip=None):
     return out
 
 
+def mttkrp(tensor, factors, mode):
+    """Matricized tensor times Khatri-Rao product,
+    ``unfold(tensor, mode) @ khatri_rao(factors, skip=mode)``, without
+    forming the unfolding.
+
+    A C-ordered tensor is read through its (L, n_mode, R) reshape view,
+    where L and R count the entries of the modes before and after `mode`:
+    one product with the Khatri-Rao matrix of the later modes (in reversed
+    order, so its rows follow C order), then a contraction over L with that
+    of the earlier modes. At the first or last mode one product suffices.
+    Other layouts are copied once by the reshape. The sum order differs
+    from the unfolded product, so results agree to rounding.
+    """
+    t = np.asarray(tensor, dtype=np.float64)
+    shape, k = validate_factors(factors)
+    if t.shape != shape:
+        raise ValueError(f"tensor shape {t.shape} does not match factors {shape}")
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
+    mats = [np.asarray(f, dtype=np.float64) for f in factors]
+    n = shape[mode]
+    lead = math.prod(shape[:mode])
+    if mode == len(shape) - 1:
+        return t.reshape(lead, n).T @ khatri_rao(mats[-2::-1])
+    partial = t.reshape(lead * n, -1) @ khatri_rao(mats[:mode:-1])
+    if mode == 0:
+        return partial
+    before = khatri_rao(mats[mode - 1 :: -1])
+    return np.einsum("lnr,lr->nr", partial.reshape(lead, n, k), before)
+
+
+def kr_gram(factors, skip):
+    """``K.T @ K`` for ``K = khatri_rao(factors, skip=skip)``, as the
+    Hadamard product of the other modes' k x k Grams, in O(sum(n_i) k^2)
+    without forming K."""
+    if not 0 <= skip < len(factors):
+        raise ValueError(f"mode {skip} out of range for order-{len(factors)} factors")
+    mats = [np.asarray(f, dtype=np.float64) for f in factors]
+    gram = np.ones((mats[0].shape[1],) * 2)
+    for i, f in enumerate(mats):
+        if i != skip:
+            gram *= f.T @ f
+    return gram
+
+
 def cp_reconstruct(factors):
     """Evaluate the dense tensor represented by a CP factor set.
 
@@ -179,10 +224,9 @@ class ObservationMask:
 
     def complement(self):
         """Mask of the unobserved entries."""
-        all_idx = np.arange(self.total, dtype=np.int64)
         keep = np.ones(self.total, dtype=bool)
         keep[self.linear_indices] = False
-        return ObservationMask(self.shape, all_idx[keep])
+        return ObservationMask(self.shape, np.flatnonzero(keep))
 
     @classmethod
     def from_dense(cls, indicator):

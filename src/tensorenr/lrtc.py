@@ -38,6 +38,7 @@ from scipy.sparse import csr_matrix
 from .core import (
     cp_reconstruct,
     khatri_rao,
+    kr_gram,
     spectral_norm_est,
     validate_factors,
 )
@@ -225,11 +226,7 @@ class _MaskedLoss:
         factors. KR^T KR is the Hadamard product of the other modes'
         Grams, so ||KR||_2^2 is the largest singular value of a k x k
         matrix built in O(sum(n_i) k^2)."""
-        k = factors[0].shape[1]
-        gram = np.ones((k, k))
-        for i, f in enumerate(factors):
-            if i != mode:
-                gram *= f.T @ f
+        gram = kr_gram(factors, mode)
         return max(rho * sqrt_fraction * spectral_norm_est(gram), LIPSCHITZ_FLOOR)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .core import cp_reconstruct, khatri_rao, unfold, validate_factors
+from .core import cp_reconstruct, kr_gram, mttkrp, validate_factors
 from .lrtc import _Run, init_factors
 from .regularizers import (
     RegularizerSpec,
@@ -76,7 +76,9 @@ class TrpcaConfig:
 
 
 def _check_data(data):
-    d = np.asarray(data, dtype=np.float64)
+    # C order, so every mode update reads reshape views of D - E and the
+    # answers do not depend on the caller's layout
+    d = np.ascontiguousarray(data, dtype=np.float64)
     if d.ndim < 2:
         raise ValueError("data must be a tensor of order >= 2")
     if not np.all(np.isfinite(d)):
@@ -117,6 +119,10 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
 
         X = ((D - E)_(j) @ KR + mu*Y + Z) @ (KR^T KR + mu*I)^{-1}.
 
+    Neither the unfolding nor KR^T KR is formed: the first product is a
+    :func:`~tensorenr.core.mttkrp` on reshape views of D - E, and the Gram
+    the Hadamard product of the other modes' k x k Grams.
+
     `aux` (Y) and `dual` (Z) must have the shape (n_mode, k) of the block.
     """
     if mu <= 0:
@@ -134,9 +140,9 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
     e = np.asarray(sparse, dtype=np.float64)
     if d.shape != shape or e.shape != shape:
         raise ValueError("data, sparse term and factors have mismatched shapes")
-    kr = khatri_rao(factors, skip=mode)
-    gram = kr.T @ kr + mu * np.eye(k)
-    rhs = unfold(d - e, mode) @ kr + mu * y + z
+    gram = kr_gram(factors, mode)
+    gram.flat[:: k + 1] += mu
+    rhs = mttkrp(d - e, factors, mode) + mu * y + z
     return _solve_right(gram, rhs)
 
 
@@ -153,9 +159,9 @@ def _ridge_updates(target, factors, modes, ridge):
     minimizer of 0.5*||target_(j) - X @ KR^T||^2 + 0.5*ridge*||X||^2."""
     k = factors[0].shape[1]
     for j in modes:
-        kr = khatri_rao(factors, skip=j)
-        gram = kr.T @ kr + ridge * np.eye(k)
-        factors[j] = _solve_right(gram, unfold(target, j) @ kr)
+        gram = kr_gram(factors, j)
+        gram.flat[:: k + 1] += ridge
+        factors[j] = _solve_right(gram, mttkrp(target, factors, j))
 
 
 def _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from tensorenr import cli
 from tensorenr.cli import main, parse_sweep_config
 from tensorenr.core import ObservationMask
 from tensorenr.tensorio import read_tensor, write_mask, write_tensor
@@ -171,6 +172,19 @@ class TestTrpcaCommand:
         )
         assert rc == 1
         assert "solver" in capsys.readouterr().err
+
+    def test_lapack_failure_is_numeric_failure(self, trpca_data, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it must not read as a usage error
+        def fail(data, config):
+            raise np.linalg.LinAlgError("factorization failed")
+
+        monkeypatch.setattr(cli, "trpca_solve", fail)
+        rc = run_cli(
+            "trpca", "--data", trpca_data, "--k", "2", "--lambda-x", "0.1",
+            "--lambda-e", "0.3", "--out", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert "numeric failure: factorization failed" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from tensorenr.core import (
     cp_reconstruct,
     fold,
     khatri_rao,
+    kr_gram,
     masked_residual,
+    mttkrp,
     sample_mask,
     spectral_norm_est,
     unfold,
@@ -122,6 +125,61 @@ def test_khatri_rao_matches_chained_scipy_pairs(shape, k, seed):
         got = khatri_rao(factors, skip=skip)
         assert got.shape == (math.prod(f.shape[0] for f in mats), k)
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    k=st.sampled_from([0, 1, 3]),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mttkrp_matches_unfolded_product(shape, k, fortran, seed):
+    # each entry agrees with unfold(T, j) @ KR to 1e-12 of the sum of its
+    # terms' magnitudes, the scale of any rounding in either sum order
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    if fortran:
+        t = np.asfortranarray(t)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    for j in range(len(shape)):
+        kr = khatri_rao(factors, skip=j)
+        want = unfold(t, j) @ kr
+        got = mttkrp(t, factors, j)
+        assert got.shape == (shape[j], k)
+        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(unfold(t, j)) @ np.abs(kr)))
+        assert np.allclose(kr_gram(factors, j), kr.T @ kr, rtol=1e-12, atol=1e-12 * k * len(kr))
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2, 3])
+def test_mttkrp_does_not_copy_c_ordered_tensor(mode):
+    # the products read reshape views: at k = 1 the call allocates the
+    # Khatri-Rao pieces, at most total / n_mode entries each, but not the
+    # whole tensor that an unfolding copies
+    rng = np.random.default_rng(4)
+    t = rng.standard_normal((16, 12, 14, 10))
+    factors = [rng.standard_normal((n, 1)) for n in t.shape]
+    tracemalloc.start()
+    try:
+        mttkrp(t, factors, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes / 2
+
+
+@pytest.mark.parametrize("mode", [-1, 3, 5])
+def test_mttkrp_and_kr_gram_reject_mode_out_of_range(mode):
+    factors = [np.ones((n, 2)) for n in (2, 3, 4)]
+    with pytest.raises(ValueError, match="out of range"):
+        mttkrp(np.ones((2, 3, 4)), factors, mode)
+    with pytest.raises(ValueError, match="out of range"):
+        kr_gram(factors, mode)
+
+
+def test_mttkrp_rejects_mismatched_tensor():
+    with pytest.raises(ValueError, match="does not match"):
+        mttkrp(np.ones((2, 3, 5)), [np.ones((n, 2)) for n in (2, 3, 4)], 0)
 
 
 class TestKhatriRao:
@@ -326,6 +384,17 @@ class TestObservationMask:
         comp = mask.complement()
         assert mask.count + comp.count == 27
         assert not np.intersect1d(mask.linear_indices, comp.linear_indices).size
+        # disjoint, sorted int64 offsets covering every entry, also when
+        # one side is empty
+        for missing in (0.0, 0.3, 0.9):
+            mask = sample_mask((4, 5, 6), missing, seed=3)
+            comp = mask.complement()
+            for m in (mask, comp):
+                assert m.linear_indices.dtype == np.int64
+                assert np.all(np.diff(m.linear_indices) > 0)
+            assert not np.intersect1d(mask.linear_indices, comp.linear_indices).size
+            union = np.union1d(mask.linear_indices, comp.linear_indices)
+            assert np.array_equal(union, np.arange(mask.total))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
