@@ -111,33 +111,37 @@ def khatri_rao(factors, skip=None):
 
 def mttkrp(tensor, factors, mode):
     """Matricized tensor times Khatri-Rao product,
-    ``unfold(tensor, mode) @ khatri_rao(factors, skip=mode)``, without
-    forming the unfolding.
+    ``unfold(tensor, mode) @ khatri_rao(factors, skip=mode)``, formed
+    without the unfolding or the Khatri-Rao matrix.
 
-    A C-ordered tensor is read through its (L, n_mode, R) reshape view,
-    where L and R count the entries of the modes before and after `mode`:
-    one product with the Khatri-Rao matrix of the later modes (in reversed
-    order, so its rows follow C order), then a contraction over L with that
-    of the earlier modes. At the first or last mode one product suffices.
-    Other layouts are copied once by the reshape. The sum order differs
-    from the unfolded product, so results agree to rounding.
+    The other modes are contracted one at a time on C-order reshape views
+    (partial contractions): one matrix product with the last factor (with
+    the first when `mode` is the last mode), then one batched contraction
+    per remaining mode, later modes last to first, then earlier modes
+    first to last. A C-ordered tensor is never copied; other layouts are
+    copied once by the first reshape. The sum order differs from the
+    unfolded product, so results agree to rounding.
     """
     t = np.asarray(tensor, dtype=np.float64)
-    shape, k = validate_factors(factors)
-    if t.shape != shape:
-        raise ValueError(f"tensor shape {t.shape} does not match factors {shape}")
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
+    if not 0 <= mode < t.ndim:
+        raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
     mats = [np.asarray(f, dtype=np.float64) for f in factors]
-    n = shape[mode]
-    lead = math.prod(shape[:mode])
-    if mode == len(shape) - 1:
-        return t.reshape(lead, n).T @ khatri_rao(mats[-2::-1])
-    partial = t.reshape(lead * n, -1) @ khatri_rao(mats[:mode:-1])
-    if mode == 0:
-        return partial
-    before = khatri_rao(mats[mode - 1 :: -1])
-    return np.einsum("lnr,lr->nr", partial.reshape(lead, n, k), before)
+    k = mats[0].shape[-1] if mats else 0
+    if [f.shape for f in mats] != [(n, k) for n in t.shape]:
+        raise ValueError(f"factor shapes do not match a rank-k CP model of shape {t.shape}")
+    shape, d = t.shape, t.ndim
+    if mode < d - 1:
+        out = t.reshape(-1, shape[-1]) @ mats[-1]
+        later, earlier = range(d - 2, mode, -1), range(mode)
+    else:
+        out = t.reshape(shape[0], -1).T @ mats[0]
+        later, earlier = (), range(1, mode)
+    # explicit row counts: reshape(-1, n, k) is ambiguous at k == 0
+    for i in later:
+        out = np.einsum("mnr,nr->mr", out.reshape(len(out) // shape[i], shape[i], k), mats[i])
+    for i in earlier:
+        out = np.einsum("nmr,nr->mr", out.reshape(shape[i], len(out) // shape[i], k), mats[i])
+    return out
 
 
 def kr_gram(factors, skip):

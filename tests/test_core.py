@@ -153,9 +153,9 @@ def test_mttkrp_matches_unfolded_product(shape, k, fortran, seed):
 
 @pytest.mark.parametrize("mode", [0, 1, 2, 3])
 def test_mttkrp_does_not_copy_c_ordered_tensor(mode):
-    # the products read reshape views: at k = 1 the call allocates the
-    # Khatri-Rao pieces, at most total / n_mode entries each, but not the
-    # whole tensor that an unfolding copies
+    # the contractions read reshape views: at k = 1 the call allocates
+    # partial products of at most total / 10 entries, but not the whole
+    # tensor that an unfolding copies
     rng = np.random.default_rng(4)
     t = rng.standard_normal((16, 12, 14, 10))
     factors = [rng.standard_normal((n, 1)) for n in t.shape]
@@ -177,9 +177,14 @@ def test_mttkrp_and_kr_gram_reject_mode_out_of_range(mode):
         kr_gram(factors, mode)
 
 
-def test_mttkrp_rejects_mismatched_tensor():
-    with pytest.raises(ValueError, match="does not match"):
-        mttkrp(np.ones((2, 3, 5)), [np.ones((n, 2)) for n in (2, 3, 4)], 0)
+@pytest.mark.parametrize(
+    "shapes",
+    [[(2, 2), (3, 2), (5, 2)], [(2, 2), (3, 2)], [(2, 2), (3, 1), (4, 2)], [(2, 2), (3,), (4, 2)]],
+)
+def test_mttkrp_rejects_mismatched_factors(shapes):
+    # wrong row count, too few modes, uneven column counts, a 1-d factor
+    with pytest.raises(ValueError, match="do not match"):
+        mttkrp(np.ones((2, 3, 4)), [np.ones(s) for s in shapes], 0)
 
 
 class TestKhatriRao:

@@ -414,7 +414,9 @@ def test_sparsity_summary():
 def _manual_first_iteration(solver, data, k, lam_x, lam_e, mu):
     """One sweep from init_factors, done by hand: (factors, sparse, fit,
     terms). The sweep returns the fit D - CP(F); the sparse term is its
-    soft threshold."""
+    soft threshold. The sweep gets the data in the C order the solvers
+    hold it in, so sums over it run in the same order."""
+    data = trpca._check_data(data)
     factors = init_factors(data.shape, k, 0)
     sparse = np.zeros(data.shape)
     if solver == "admm":
