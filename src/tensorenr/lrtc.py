@@ -20,10 +20,11 @@ removed as the iteration proceeds. Both, and the public helpers
 :func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
 evaluate the masked loss through one kernel built once per call. That
 kernel reads only the observed entries: a solve holds O(observed) data
-and one residual buffer shared by all modes, plus the one dense
-n_j x prod(n_i) product that each block call forms. The block curvature
-is the exact squared spectral norm of the Khatri-Rao matrix, taken from
-the Hadamard product of the other modes' k x k Grams.
+and one residual buffer shared by all modes. Each block call forms the
+dense n_j x prod(n_i) product F_j KR^T one cache-sized column block at a
+time and keeps only its observed entries. The block curvature is the
+exact squared spectral norm of the Khatri-Rao matrix, taken from the
+Hadamard product of the other modes' k x k Grams.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ from .regularizers import (
 
 LIPSCHITZ_FLOOR = 1e-12
 _SAFEGUARD_CAP = 2.0**52
+# Byte budget of the dense product block a block call forms at a time:
+# small enough to stay in a core's L2 cache from the matrix product that
+# writes it to the gather that reads it.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -71,6 +76,9 @@ class LrtcConfig:
     qn_memory: int = 10
 
     def __post_init__(self):
+        for name in ("lam", "rho", "prune_tol", "conv_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k_init < 1:
             raise ValueError(f"k_init must be >= 1, got {self.k_init}")
         if self.lam < 0:
@@ -167,14 +175,21 @@ class _MaskedLoss:
     """The smooth completion loss 0.5 * ||M * (D - CP(F))||_F^2.
 
     Built once per solve from (data, mask), it holds only the observed
-    entries: for each mode j, their data and flat offsets into the mode-j
-    unfolding, and that unfolding's sparsity pattern as a CSR matrix whose
-    data is one residual buffer shared by all modes (every mode holds the
-    same entries). Value and block gradient read the model only at the
-    observed offsets: O(observed) memory plus the one dense n_j x prod(n_i)
-    product F_j KR^T that each call forms. The block curvature comes from
-    the k x k Hadamard product of the other modes' Grams. Both solvers and
-    the public reference helpers go through it.
+    entries: for each mode j, their data and offsets into the dense
+    product F_j KR^T, and the mode-j unfolding's sparsity pattern as a CSR
+    matrix whose data is one residual buffer shared by all modes (every
+    mode holds the same entries). The product is formed one column block
+    at a time: a run of consecutive unfolding columns whose n_j x width
+    block fits ``_BLOCK_BYTES``, so each block stays in cache between the
+    matrix product that writes it and the gather that reads the observed
+    entries out of it. Entries are kept in (column block, row, column)
+    order, and the pattern has one row per (block, row) pair, so the block
+    gradient is still one sparse product, summed over blocks. A tensor
+    small enough for one block gets exactly the unblocked product. Value
+    and block gradient thus take O(observed) memory plus one product block
+    per call. The block curvature comes from the k x k Hadamard product of
+    the other modes' Grams. Both solvers and the public reference helpers
+    go through it.
     """
 
     def __init__(self, data, mask):
@@ -182,7 +197,7 @@ class _MaskedLoss:
         observed = data[idx]
         self.sqrt_fraction = np.sqrt(mask.count / mask.total)
         self._buf = np.empty(mask.count)
-        self.flat, self.observed, self.pattern = [], [], []
+        self.width, self.bounds, self.offsets, self.observed, self.pattern = [], [], [], [], []
         for j, n in enumerate(mask.shape):
             rest = [i for i in range(len(mask.shape)) if i != j]
             ncols = mask.total // n
@@ -191,25 +206,48 @@ class _MaskedLoss:
             cols = np.ravel_multi_index(
                 [idx[i] for i in rest], [mask.shape[i] for i in rest], order="F"
             )
-            flat = idx[j] * ncols + cols
-            order = np.argsort(flat)
-            flat = flat[order]
-            indptr = np.searchsorted(flat, np.arange(n + 1) * ncols)
-            self.flat.append(flat)
+            width = min(ncols, max(1, _BLOCK_BYTES // (8 * n)))
+            nblocks = -(-ncols // width)
+            block, local = np.divmod(cols, width)
+            # row (block, i) of the pattern holds block `block` of row i;
+            # entries sorted by it, then by column
+            rows = block * n + idx[j]
+            key = rows * width + local
+            order = np.argsort(key)
+            key = key[order]
+            indptr = np.searchsorted(key, np.arange(nblocks * n + 1) * width)
+            self.width.append(width)
+            self.bounds.append(indptr[::n].tolist())
+            # offset in the n x width product block, rows `width` apart
+            self.offsets.append(key % (n * width))
             self.observed.append(observed[order])
-            self.pattern.append(csr_matrix((self._buf, cols[order], indptr), shape=(n, ncols)))
+            self.pattern.append(
+                csr_matrix((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
+            )
 
     def _residual(self, x, kr, mode):
         """Model minus data at the observed entries, in mode-`mode` order,
         written into the shared buffer."""
-        # the offsets are in range by construction; "clip" lets take
-        # write straight into `out`, where "raise" goes through a copy
-        r = np.take((x @ kr.T).ravel(), self.flat[mode], out=self._buf, mode="clip")
-        r -= self.observed[mode]
-        return r
+        width, bounds = self.width[mode], self.bounds[mode]
+        block = np.empty((x.shape[0], width))
+        flat = block.ravel()
+        for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if start == stop:
+                continue
+            c0 = b * width
+            c1 = min(c0 + width, kr.shape[0])
+            np.matmul(x, kr[c0:c1].T, out=block[:, : c1 - c0])
+            # the offsets are in range by construction; "clip" lets take
+            # write straight into `out`, where "raise" goes through a copy
+            np.take(flat, self.offsets[mode][start:stop], out=self._buf[start:stop], mode="clip")
+        self._buf -= self.observed[mode]
+        return self._buf
 
-    def value(self, factors):
-        r = self._residual(factors[0], khatri_rao(factors, skip=0), 0)
+    def value(self, factors, kr=None):
+        """Loss at `factors`; `kr`, when given, is ``khatri_rao(factors, skip=0)``."""
+        if kr is None:
+            kr = khatri_rao(factors, skip=0)
+        r = self._residual(factors[0], kr, 0)
         return 0.5 * float(r @ r)
 
     def block_grad(self, x, kr, mode):
@@ -217,7 +255,8 @@ class _MaskedLoss:
         Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR,
         summed over the observed entries only."""
         self._residual(x, kr, mode)
-        return self.pattern[mode] @ kr
+        nblocks = len(self.bounds[mode]) - 1
+        return (self.pattern[mode] @ kr).reshape(nblocks, x.shape[0], kr.shape[1]).sum(axis=0)
 
     @staticmethod
     def curvature(factors, mode, sqrt_fraction, rho):
@@ -348,8 +387,8 @@ def _prox_mode(target, term, lam, lipschitz):
 
 def _prune_zero_components(mats_list, norms):
     """Drop components whose column vanished in any mode. `mats_list` is a
-    list of factor sets sharing column indices (e.g. current and previous
-    iterates); all are sliced consistently."""
+    list of matrix sets sharing column indices (e.g. current and previous
+    iterates, or a Khatri-Rao matrix of them); all are sliced consistently."""
     dead = np.any(norms == 0.0, axis=0)
     if not np.any(dead):
         return mats_list, False
@@ -370,7 +409,10 @@ def bcde_solve(data, mask, config):
     k = config.k_init
 
     run = _Run()
-    obj = loss.value(factors) + lam * reg_value(factors, spec)
+    # the mode-0 Khatri-Rao matrix of each objective evaluation serves the
+    # next sweep's mode-0 block (and its safeguard retries) unchanged
+    kr0 = khatri_rao(factors, skip=0)
+    obj = loss.value(factors, kr0) + lam * reg_value(factors, spec)
     run.record(obj, k)
     l_prev = [None] * ndim
     l_curr = [None] * ndim
@@ -393,13 +435,14 @@ def bcde_solve(data, mask, config):
                 else:
                     w = 0.0
                 xhat = fac[j] + w * (fac[j] - pv[j])
-                kr = khatri_rao(fac, skip=j)
+                kr = kr0 if j == 0 else khatri_rao(fac, skip=j)
                 lip = mult * loss.curvature(fac, j, loss.sqrt_fraction, config.rho)
                 grad = loss.block_grad(xhat, kr, j)
                 pv[j] = fac[j]
                 fac[j] = _prox_mode(xhat - grad / lip, terms[j], lam, lip)
                 new_l[j] = lip
-            cand = loss.value(fac) + lam * reg_value(fac, spec)
+            cand_kr0 = khatri_rao(fac, skip=0)
+            cand = loss.value(fac, cand_kr0) + lam * reg_value(fac, spec)
             if cand <= obj or mult >= _SAFEGUARD_CAP:
                 break
             # Objective went up: retry the sweep with doubled curvature
@@ -410,7 +453,12 @@ def bcde_solve(data, mask, config):
         l_prev, l_curr = l_curr, new_l
 
         norms = np.stack([np.linalg.norm(f, axis=0) for f in factors])
-        (factors, prev), pruned = _prune_zero_components([factors, prev], norms)
+        (factors, prev, (kr0,)), pruned = _prune_zero_components(
+            [factors, prev, [cand_kr0]], norms
+        )
+        # C order, as khatri_rao gives it for the sweep's C-ordered copies
+        # of the factors: the matrix product rounds by operand layout
+        kr0 = np.ascontiguousarray(kr0)
         if pruned:
             k = factors[0].shape[1]
 

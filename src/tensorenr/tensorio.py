@@ -81,7 +81,9 @@ def write_tensor(path, tensor):
         raise FormatError("refusing to write non-finite tensor entries")
     with open(path, "wb") as fh:
         fh.write(_pack_header(TENSOR_MAGIC, shape))
-        fh.write(np.ravel(t, order="F").astype("<f8").tobytes())
+        # a view of a Fortran-ordered little-endian tensor, written through
+        # the buffer protocol: no copy of the payload
+        fh.write(np.ravel(t, order="F").astype("<f8", copy=False))
 
 
 def read_tensor(path):
@@ -89,8 +91,10 @@ def read_tensor(path):
     with open(path, "rb") as fh:
         shape, total = _read_header(fh, TENSOR_MAGIC)
         _check_payload(fh, 8 * total, "tensor payload")
-        payload = _read_exact(fh, 8 * total, "tensor payload")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        flat = np.empty(total, dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:
+            raise FormatError("truncated file while reading tensor payload")
+    flat = flat.astype(np.float64, copy=False)
     if not np.all(np.isfinite(flat)):
         raise FormatError("tensor payload contains non-finite values")
     return np.reshape(flat, shape, order="F")

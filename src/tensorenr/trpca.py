@@ -30,6 +30,7 @@ iteration forms CP(F) once (twice when it prunes) and D - E once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,9 @@ class TrpcaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("lam_x", "lam_e", "mu", "conv_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k_init < 1:
             raise ValueError(f"k_init must be >= 1, got {self.k_init}")
         if self.lam_x < 0 or self.lam_e < 0:

@@ -106,6 +106,21 @@ class TestLrtcCommand:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda", "inf"),
+                                            ("--rho", "nan")])
+    def test_non_finite_setting_is_usage_error(self, lrtc_files, tmp_path, capsys, flag, value):
+        argv = {"--lambda": "0.1", "--rho": "1"}
+        argv[flag] = value
+        rc = run_cli(
+            "lrtc",
+            "--data", f"{lrtc_files}_data.tnsr",
+            "--mask", f"{lrtc_files}_mask.msk",
+            "--k", "2", *[x for kv in argv.items() for x in kv],
+            "--out", str(tmp_path / "o"),
+        )
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestTrpcaCommand:
     @pytest.fixture

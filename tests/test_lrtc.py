@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorenr import lrtc
 from tensorenr.core import (
     ObservationMask,
     cp_reconstruct,
@@ -355,6 +357,15 @@ class TestSolveDispatch:
         with pytest.raises(ValueError):
             LrtcConfig(k_init=2, lam=0.0, spec=spec, delta=1.0)
 
+    @pytest.mark.parametrize("field", ["lam", "rho", "prune_tol", "conv_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite_settings(self, field, value):
+        # a NaN weight used to pass and give a NaN objective, on which the
+        # safeguard doubled the curvature 52 times per sweep
+        kwargs = {"k_init": 2, "lam": 1.0, "spec": sym_spec(3, 0.5), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LrtcConfig(**kwargs)
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -433,6 +444,64 @@ def test_masked_loss_holds_no_dense_copy():
         tracemalloc.stop()
     assert loss.sqrt_fraction > 0.0
     assert peak < data.nbytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    k=st.integers(0, 3),
+    missing=st.floats(0.0, 0.95),
+    block_bytes=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_kernel_matches_reference(shape, k, missing, block_bytes, seed):
+    # a byte budget of a few columns splits each unfolding into many column
+    # blocks, most with a partial last block, and at high missing rates into
+    # empty blocks and unobserved rows; value and block gradients must still
+    # be those of the unblocked masked residual
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    mask = sample_mask(shape, missing, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lrtc, "_BLOCK_BYTES", block_bytes)
+        loss = _MaskedLoss(data, mask)
+    res, value = masked_residual(data, factors, mask)
+    assert loss.value(factors) == pytest.approx(0.5 * value, rel=1e-12, abs=0.0)
+    for j, n in enumerate(shape):
+        ncols = mask.total // n
+        width = loss.width[j]
+        assert width == min(ncols, max(1, block_bytes // (8 * n)))
+        assert len(loss.bounds[j]) - 1 == -(-ncols // width)
+        kr = khatri_rao(factors, skip=j)
+        want = -unfold(res, j) @ kr
+        got = loss.block_grad(factors[j], kr, j)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_block_call_forms_no_whole_product():
+    # 80^3 with a 1 MiB budget is four column blocks per mode; one call
+    # must hold well under the n_j x prod(n_i) product it used to form
+    shape = (80, 80, 80)
+    total = math.prod(shape)
+    rng = np.random.default_rng(2)
+    data = rng.standard_normal(shape)
+    factors = [rng.standard_normal((n, 3)) for n in shape]
+    loss = _MaskedLoss(data, sample_mask(shape, 0.9, seed=2))
+    krs = [khatri_rao(factors, skip=j) for j in range(3)]
+    calls = [lambda: loss.value(factors)]
+    calls += [lambda j=j: loss.block_grad(factors[j], krs[j], j) for j in range(3)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * total / 2
+    assert all(len(bounds) - 1 == 4 for bounds in loss.bounds)
 
 
 @settings(max_examples=200, deadline=None)

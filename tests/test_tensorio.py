@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,47 @@ def test_tensor_payload_layout_is_column_major(tmp_path):
     raw = path.read_bytes()
     payload = np.frombuffer(raw[4 + 1 + 4 + 12 :], dtype="<f8")
     assert np.array_equal(payload, t.ravel(order="F"))
+
+
+def _layouts():
+    base = np.random.default_rng(7).standard_normal((4, 6, 5))
+    return {
+        "c": base,
+        "f": np.asfortranarray(base),
+        "strided": base[::2, 1::2, ::-1],
+        "transposed": base.transpose(2, 0, 1),
+        "float32": base.astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("layout", sorted(_layouts()))
+def test_tensor_bytes_do_not_depend_on_input_layout(tmp_path, layout):
+    t = _layouts()[layout]
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, t)
+    want = _header(b"TNSR", t.shape) + np.ravel(t, order="F").astype("<f8").tobytes()
+    assert path.read_bytes() == want
+    back = read_tensor(path)
+    assert back.dtype == np.float64 and np.array_equal(back, t.astype(np.float64))
+
+
+def test_tensor_io_copies_no_payload(tmp_path):
+    # writing a Fortran-ordered float64 tensor streams the array itself, and
+    # reading fills one preallocated array: neither holds a second payload
+    t = np.asfortranarray(np.random.default_rng(8).standard_normal((64, 64, 64)))
+    path = tmp_path / "t.tnsr"
+    tracemalloc.start()
+    try:
+        write_tensor(path, t)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_tensor(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, t)
+    assert write_peak < 0.5 * t.nbytes
+    assert read_peak < 1.5 * t.nbytes
 
 
 def test_mask_round_trip(tmp_path):

@@ -393,6 +393,13 @@ class TestDispatchAndConfig:
         with pytest.raises(ValueError):
             TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, solver="sgd")
 
+    @pytest.mark.parametrize("field", ["lam_x", "lam_e", "mu", "conv_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite_settings(self, field, value):
+        kwargs = {"k_init": 2, "lam_x": 0.1, "lam_e": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrpcaConfig(**kwargs)
+
     def test_non_finite_data_rejected(self):
         cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=SYM_E1)
         bad = np.zeros((3, 3, 3))
