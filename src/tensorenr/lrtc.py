@@ -180,7 +180,8 @@ class _MaskedLoss:
     matrix whose data is one residual buffer shared by all modes (every
     mode holds the same entries). The product is formed one column block
     at a time: a run of consecutive unfolding columns whose n_j x width
-    block fits ``_BLOCK_BYTES``, so each block stays in cache between the
+    block fits ``_BLOCK_BYTES`` (one block if a single column does not),
+    so each block stays in cache between the
     matrix product that writes it and the gather that reads the observed
     entries out of it. Entries are kept in (column block, row, column)
     order, and the pattern has one row per (block, row) pair, so the block
@@ -206,7 +207,10 @@ class _MaskedLoss:
             cols = np.ravel_multi_index(
                 [idx[i] for i in rest], [mask.shape[i] for i in rest], order="F"
             )
-            width = min(ncols, max(1, _BLOCK_BYTES // (8 * n)))
+            # one block when not even one column fits: narrower blocks
+            # would not stay in cache, and the pattern would need a row
+            # per (block, row) pair, up to one per tensor entry
+            width = min(ncols, _BLOCK_BYTES // (8 * n) or ncols)
             nblocks = -(-ncols // width)
             block, local = np.divmod(cols, width)
             # row (block, i) of the pattern holds block `block` of row i;

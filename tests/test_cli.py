@@ -109,13 +109,12 @@ class TestLrtcCommand:
     @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda", "inf"),
                                             ("--rho", "nan")])
     def test_non_finite_setting_is_usage_error(self, lrtc_files, tmp_path, capsys, flag, value):
-        argv = {"--lambda": "0.1", "--rho": "1"}
-        argv[flag] = value
+        # the last occurrence of a flag wins
         rc = run_cli(
             "lrtc",
             "--data", f"{lrtc_files}_data.tnsr",
             "--mask", f"{lrtc_files}_mask.msk",
-            "--k", "2", *[x for kv in argv.items() for x in kv],
+            "--k", "2", "--lambda", "0.1", flag, value,
             "--out", str(tmp_path / "o"),
         )
         assert rc == 1

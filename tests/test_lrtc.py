@@ -457,8 +457,9 @@ def test_masked_loss_holds_no_dense_copy():
 def test_blocked_kernel_matches_reference(shape, k, missing, block_bytes, seed):
     # a byte budget of a few columns splits each unfolding into many column
     # blocks, most with a partial last block, and at high missing rates into
-    # empty blocks and unobserved rows; value and block gradients must still
-    # be those of the unblocked masked residual
+    # empty blocks and unobserved rows (a budget below one column gives one
+    # block); value and block gradients must still be those of the
+    # unblocked masked residual
     shape = tuple(shape)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(shape)
@@ -472,7 +473,7 @@ def test_blocked_kernel_matches_reference(shape, k, missing, block_bytes, seed):
     for j, n in enumerate(shape):
         ncols = mask.total // n
         width = loss.width[j]
-        assert width == min(ncols, max(1, block_bytes // (8 * n)))
+        assert width == min(ncols, block_bytes // (8 * n) or ncols)
         assert len(loss.bounds[j]) - 1 == -(-ncols // width)
         kr = khatri_rao(factors, skip=j)
         want = -unfold(res, j) @ kr
