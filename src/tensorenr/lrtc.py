@@ -181,16 +181,15 @@ class _MaskedLoss:
     mode holds the same entries). The product is formed one column block
     at a time: a run of consecutive unfolding columns whose n_j x width
     block fits ``_BLOCK_BYTES`` (one block if a single column does not),
-    so each block stays in cache between the
-    matrix product that writes it and the gather that reads the observed
-    entries out of it. Entries are kept in (column block, row, column)
-    order, and the pattern has one row per (block, row) pair, so the block
-    gradient is still one sparse product, summed over blocks. A tensor
-    small enough for one block gets exactly the unblocked product. Value
-    and block gradient thus take O(observed) memory plus one product block
-    per call. The block curvature comes from the k x k Hadamard product of
-    the other modes' Grams. Both solvers and the public reference helpers
-    go through it.
+    so each block stays in cache between the matrix product that writes
+    it and the gather that reads the observed entries out of it. Entries
+    are kept in (column block, row, column) order, and the pattern has one
+    row per (block, row) pair, so the block gradient is still one sparse
+    product, summed over blocks. A tensor small enough for one block gets
+    exactly the unblocked product. Value and block gradient thus take
+    O(observed) memory plus one product block at a time. The block
+    curvature comes from the k x k Hadamard product of the other modes'
+    Grams. Both solvers and the public reference helpers go through it.
     """
 
     def __init__(self, data, mask):
@@ -198,7 +197,7 @@ class _MaskedLoss:
         observed = data[idx]
         self.sqrt_fraction = np.sqrt(mask.count / mask.total)
         self._buf = np.empty(mask.count)
-        self.width, self.bounds, self.offsets, self.observed, self.pattern = [], [], [], [], []
+        self.blocks, self.observed, self.pattern = [], [], []
         for j, n in enumerate(mask.shape):
             rest = [i for i in range(len(mask.shape)) if i != j]
             ncols = mask.total // n
@@ -215,15 +214,20 @@ class _MaskedLoss:
             block, local = np.divmod(cols, width)
             # row (block, i) of the pattern holds block `block` of row i;
             # entries sorted by it, then by column
-            rows = block * n + idx[j]
-            key = rows * width + local
+            key = (block * n + idx[j]) * width + local
             order = np.argsort(key)
-            key = key[order]
-            indptr = np.searchsorted(key, np.arange(nblocks * n + 1) * width)
-            self.width.append(width)
-            self.bounds.append(indptr[::n].tolist())
-            # offset in the n x width product block, rows `width` apart
-            self.offsets.append(key % (n * width))
+            indptr = np.searchsorted(key[order], np.arange(nblocks * n + 1) * width)
+            block = block[order]
+            # offset in the product block, whose rows are as wide as it is
+            offsets = idx[j][order] * np.minimum(width, ncols - block * width) + local[order]
+            bounds = indptr[::n].tolist()
+            # per non-empty block: its columns, its entries' offsets and
+            # their slice of the residual buffer
+            self.blocks.append([
+                (b * width, min((b + 1) * width, ncols), offsets[start:stop], self._buf[start:stop])
+                for b, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+                if start < stop
+            ])
             self.observed.append(observed[order])
             self.pattern.append(
                 csr_matrix((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
@@ -232,18 +236,10 @@ class _MaskedLoss:
     def _residual(self, x, kr, mode):
         """Model minus data at the observed entries, in mode-`mode` order,
         written into the shared buffer."""
-        width, bounds = self.width[mode], self.bounds[mode]
-        block = np.empty((x.shape[0], width))
-        flat = block.ravel()
-        for b, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            if start == stop:
-                continue
-            c0 = b * width
-            c1 = min(c0 + width, kr.shape[0])
-            np.matmul(x, kr[c0:c1].T, out=block[:, : c1 - c0])
+        for c0, c1, offsets, out in self.blocks[mode]:
             # the offsets are in range by construction; "clip" lets take
             # write straight into `out`, where "raise" goes through a copy
-            np.take(flat, self.offsets[mode][start:stop], out=self._buf[start:stop], mode="clip")
+            np.take((x @ kr[c0:c1].T).ravel(), offsets, out=out, mode="clip")
         self._buf -= self.observed[mode]
         return self._buf
 
@@ -259,8 +255,11 @@ class _MaskedLoss:
         Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR,
         summed over the observed entries only."""
         self._residual(x, kr, mode)
-        nblocks = len(self.bounds[mode]) - 1
-        return (self.pattern[mode] @ kr).reshape(nblocks, x.shape[0], kr.shape[1]).sum(axis=0)
+        grad = self.pattern[mode] @ kr
+        nblocks = grad.shape[0] // x.shape[0]
+        if nblocks > 1:
+            grad = grad.reshape(nblocks, x.shape[0], kr.shape[1]).sum(axis=0)
+        return grad
 
     @staticmethod
     def curvature(factors, mode, sqrt_fraction, rho):

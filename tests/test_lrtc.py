@@ -472,9 +472,8 @@ def test_blocked_kernel_matches_reference(shape, k, missing, block_bytes, seed):
     assert loss.value(factors) == pytest.approx(0.5 * value, rel=1e-12, abs=0.0)
     for j, n in enumerate(shape):
         ncols = mask.total // n
-        width = loss.width[j]
-        assert width == min(ncols, block_bytes // (8 * n) or ncols)
-        assert len(loss.bounds[j]) - 1 == -(-ncols // width)
+        width = min(ncols, block_bytes // (8 * n) or ncols)
+        assert loss.pattern[j].shape == (-(-ncols // width) * n, ncols)
         kr = khatri_rao(factors, skip=j)
         want = -unfold(res, j) @ kr
         got = loss.block_grad(factors[j], kr, j)
@@ -502,7 +501,7 @@ def test_block_call_forms_no_whole_product():
         finally:
             tracemalloc.stop()
         assert peak < 8 * total / 2
-    assert all(len(bounds) - 1 == 4 for bounds in loss.bounds)
+    assert all(pattern.shape[0] == 4 * 80 for pattern in loss.pattern)
 
 
 @settings(max_examples=200, deadline=None)
