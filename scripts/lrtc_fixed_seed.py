@@ -35,9 +35,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from trpca_fixed_seed import deviation, same, size_of_difference
+from trpca_fixed_seed import same, size_of_difference, within_rounding
 
-ROUNDING = 1e-12
 DESK = dict(task="lrtc", shape=(30, 30, 30), true_rank=5, k_init=10, noise_level=0.1,
             solver="bcde", seeds=tuple(range(10)))
 CELLS = {
@@ -82,13 +81,6 @@ def dump(path):
                                                     timing=False)
     out["100^3 bcde seed=0 lam=8.0"] = solve_cell(harness.ExperimentSpec(**LARGE), 0, 8.0)
     Path(path).write_bytes(pickle.dumps(out))
-
-
-def within_rounding(want, got):
-    if any(want[name] != got[name] for name in ("rank_trace", "iterations", "converged")):
-        return False
-    devs = [deviation(want[name], got[name]) for name in ("recovered", "objective_trace")]
-    return None not in devs and max(devs) <= ROUNDING
 
 
 def run_tree(src, path):

@@ -104,8 +104,10 @@ def khatri_rao(factors, skip=None):
         raise ValueError("factors must be 2-d with a common column count")
     out = mats[-1]
     for f in mats[-2::-1]:
-        # an explicit row count: reshape(-1, k) is ambiguous at k == 0
-        out = (out[:, None, :] * f).reshape(out.shape[0] * f.shape[0], k)
+        # each entry is one product, as in a broadcast multiply, without
+        # the broadcast's overhead; an explicit row count, because
+        # reshape(-1, k) is ambiguous at k == 0
+        out = np.einsum("ir,jr->ijr", out, f).reshape(out.shape[0] * f.shape[0], k)
     return out
 
 
@@ -203,7 +205,8 @@ class ObservationMask:
         if idx.size:
             if idx[0] < 0 or idx[-1] >= total:
                 raise ValueError("mask offsets out of range")
-            if np.any(np.diff(idx) <= 0):
+            # a comparison of views: no differences array as large as idx
+            if np.any(idx[1:] <= idx[:-1]):
                 raise ValueError("mask offsets must be strictly increasing")
         object.__setattr__(self, "linear_indices", idx)
 

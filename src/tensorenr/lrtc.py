@@ -526,14 +526,20 @@ def quasi_newton_solve(data, mask, config):
             return np.zeros(0)
         return np.concatenate([f.ravel() for f in fac])
 
+    # the point of the last loss evaluation and its mode-0 Khatri-Rao
+    # matrix: every gradient is taken at the point just evaluated
+    last = [None, None]
+
     def fun(x, rank):
         fac = unpack(x, rank)
-        return loss.value(fac) + lam * reg_value(fac, spec)
+        last[:] = x, khatri_rao(fac, skip=0)
+        return loss.value(fac, last[1]) + lam * reg_value(fac, spec)
 
     def grad(x, rank):
         fac = unpack(x, rank)
         return np.concatenate([
-            (loss.block_grad(fac[j], khatri_rao(fac, skip=j), j)
+            (loss.block_grad(fac[j], last[1] if j == 0 and last[0] is x
+                             else khatri_rao(fac, skip=j), j)
              + lam * _reg_grad_mode(fac[j], terms[j])).ravel()
             for j in range(ndim)
         ])

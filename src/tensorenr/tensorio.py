@@ -116,8 +116,10 @@ def read_mask(path):
         if count > total:
             raise FormatError(f"mask count {count} exceeds tensor size {total}")
         _check_payload(fh, 8 * count, "mask offsets")
-        payload = _read_exact(fh, 8 * count, "mask offsets")
-    idx = np.frombuffer(payload, dtype="<u8").astype(np.int64)
+        # offsets of 2^63 and above read as negative and are rejected below
+        idx = np.empty(count, dtype="<i8")
+        if fh.readinto(idx) != idx.nbytes:
+            raise FormatError("truncated file while reading mask offsets")
     try:
         return ObservationMask(shape, idx)
     except ValueError as exc:

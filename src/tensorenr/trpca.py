@@ -22,10 +22,15 @@ scaled by s:
   objective is monotone because every block update is an exact minimizer.
 
 The three share one driver loop and differ only in their sweep, in which
-modes are split and in the per-mode penalty terms. Each sweep returns the
-fit D - CP(F) at its new factors; the driver thresholds that one tensor
-into the new sparse term and evaluates the objective from it, so an
-iteration forms CP(F) once (twice when it prunes) and D - E once.
+modes are split and in the per-mode penalty terms. The ADMM and ALS
+sweeps form the target D - E once and give it to all their mode updates
+(ADMM's x-updates through a private core of :func:`trpca_x_update`); the
+asym sweep forms it once for its x-update and once for its ridge updates.
+Each sweep returns the fit D - CP(F) at its new factors, formed as one
+matrix product already in the C order of D, so the subtraction reads
+two C-ordered arrays. The driver thresholds that one tensor into the new
+sparse term and evaluates the objective from it, so an iteration forms
+CP(F) once (twice when it prunes).
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .core import cp_reconstruct, kr_gram, mttkrp, validate_factors
+from .core import khatri_rao, kr_gram, mttkrp, validate_factors
 from .lrtc import _Run, init_factors
 from .regularizers import (
     RegularizerSpec,
@@ -91,6 +96,7 @@ def _check_data(data):
 
 
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_ASUM, _NRM2 = get_blas_funcs(("asum", "nrm2"), dtype=np.float64)
 
 
 def _solve_right(gram, rhs):
@@ -144,18 +150,34 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
     e = np.asarray(sparse, dtype=np.float64)
     if d.shape != shape or e.shape != shape:
         raise ValueError("data, sparse term and factors have mismatched shapes")
+    return _x_update(d - e, factors, y, z, mode, mu)
+
+
+def _x_update(target, factors, aux, dual, mode, mu):
+    """:func:`trpca_x_update` without its checks, for the C-ordered target
+    D - E that a sweep forms once for all its mode updates."""
+    k = factors[0].shape[1]
     gram = kr_gram(factors, mode)
     gram.flat[:: k + 1] += mu
-    rhs = mttkrp(d - e, factors, mode) + mu * y + z
-    return _solve_right(gram, rhs)
+    return _solve_right(gram, mttkrp(target, factors, mode) + mu * aux + dual)
+
+
+def _fit(data, factors):
+    """D - CP(F) for a C-ordered `data`. With the factors in reverse, the
+    Khatri-Rao matrix puts the last mode fastest, so the product
+    F_0 KR^T is already the C-ordered tensor: no fold, and the subtraction
+    reads two C-ordered arrays."""
+    kr = khatri_rao(factors[::-1], skip=len(factors) - 1)
+    return data - (factors[0] @ kr.T).reshape(data.shape)
 
 
 def _objective(fit, factors, sparse, terms, lam_x, lam_e):
     """Unaugmented objective at the fit D - CP(F) of `factors`; `terms`
-    holds each mode's (coeff, exponent)."""
-    res = fit - sparse
+    holds each mode's (coeff, exponent). Each sum is one pass: a dot
+    product of the raveled residual and a BLAS asum of the sparse term."""
+    res = (fit - sparse).ravel()
     pen = sum(c * float(np.sum(np.linalg.norm(f, axis=0) ** e)) for f, (c, e) in zip(factors, terms))
-    return 0.5 * float(np.sum(res * res)) + lam_x * pen + lam_e * float(np.sum(np.abs(sparse)))
+    return 0.5 * float(res @ res) + lam_x * pen + lam_e * _ASUM(sparse.ravel())
 
 
 def _ridge_updates(target, factors, modes, ridge):
@@ -171,11 +193,12 @@ def _ridge_updates(target, factors, modes, ridge):
 def _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu):
     """One full iteration of the splitting solver; mutates the factor,
     auxiliary and dual lists in place and returns the fit D - CP(F)."""
+    target = data - sparse
     for j in range(len(factors)):
-        factors[j] = trpca_x_update(data, sparse, factors, aux[j], duals[j], j, mu)
+        factors[j] = _x_update(target, factors, aux[j], duals[j], j, mu)
         aux[j] = prox_group_soft(factors[j] - duals[j] / mu, lam_x / mu)
         duals[j] = duals[j] + mu * (aux[j] - factors[j])
-    return data - cp_reconstruct(factors)
+    return _fit(data, factors)
 
 
 def _asym_sweep(data, sparse, factors, aux0, dual0, q, lam_x, mu):
@@ -185,7 +208,7 @@ def _asym_sweep(data, sparse, factors, aux0, dual0, q, lam_x, mu):
     aux0 = prox_irls(factors[0] - dual0 / mu, q, lam_x / mu)
     dual0 = dual0 + mu * (aux0 - factors[0])
     _ridge_updates(data - sparse, factors, range(1, len(factors)), lam_x)
-    return aux0, dual0, data - cp_reconstruct(factors)
+    return aux0, dual0, _fit(data, factors)
 
 
 def _als_sweep(data, sparse, factors, lam_x):
@@ -194,11 +217,11 @@ def _als_sweep(data, sparse, factors, lam_x):
     objective cannot increase."""
     d = len(factors)
     _ridge_updates(data - sparse, factors, range(d), 2.0 * lam_x / d)
-    return data - cp_reconstruct(factors)
+    return _fit(data, factors)
 
 
 def _relative_change(new, old):
-    return float(np.linalg.norm(np.ravel(new - old)) / max(1.0, np.linalg.norm(np.ravel(old))))
+    return _NRM2((new - old).ravel()) / max(1.0, _NRM2(old.ravel()))
 
 
 def _require_sym_exponent(spec, target, solver_name):
@@ -231,7 +254,7 @@ def _drive(data, config, split, terms, sweep):
     aux = [factors[j].copy() for j in split]
     duals = [np.zeros_like(factors[j]) for j in split]
     sparse = np.zeros(data.shape)
-    fit = data - cp_reconstruct(factors)
+    fit = _fit(data, factors)
 
     run = _Run()
     run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
@@ -240,18 +263,19 @@ def _drive(data, config, split, terms, sweep):
 
     for t in range(1, config.t_max + 1):
         iterations = t
-        prev_factors = [f.copy() for f in factors]
+        # the sweeps replace factor arrays and never write into them
+        prev_factors = list(factors)
         prev_sparse = sparse
         fit = sweep(sparse, factors, aux, duals)
         sparse = soft_threshold_elem(fit, config.lam_e)
 
         pruned = False
         if aux:
-            keep = np.any(np.stack([np.linalg.norm(y, axis=0) for y in aux]) != 0.0, axis=0)
-            pruned = not np.all(keep)
+            keep = np.logical_or.reduce([y.any(axis=0) for y in aux])
+            pruned = not keep.all()
         if pruned:
             factors, aux, duals = ([m[:, keep] for m in mats] for mats in (factors, aux, duals))
-            fit = data - cp_reconstruct(factors)
+            fit = _fit(data, factors)
 
         k = factors[0].shape[1]
         run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), k)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorenr import lrtc
+from tensorenr import harness, lrtc
 from tensorenr.core import (
     ObservationMask,
     cp_reconstruct,
@@ -326,6 +326,28 @@ class TestQuasiNewtonSolve:
         b = quasi_newton_solve(data, mask, cfg)
         assert np.array_equal(a.recovered, b.recovered)
         assert a.objective_trace == b.objective_trace
+
+    def test_mode0_khatri_rao_formed_once_per_point(self, monkeypatch):
+        # every gradient is taken at the point whose loss was just
+        # evaluated, so it reuses that evaluation's mode-0 Khatri-Rao
+        # matrix. The gate's c5 cell (missing 0.7, seed 0, lambda 8)
+        # runs a few hundred iterations, with pruning restarts.
+        spec = harness.ExperimentSpec(task="lrtc", shape=(30, 30, 30), true_rank=5, k_init=10,
+                                      noise_level=0.1, missing_rate=0.7, reg="sym:p=0.3333",
+                                      solver="qn")
+        _, data, mask = harness.gen_lrtc_data(spec, 0)
+        points = []
+
+        def counting(factors, skip=None):
+            if skip == 0:
+                points.append(b"".join(np.ascontiguousarray(f).tobytes() for f in factors))
+            return khatri_rao(factors, skip=skip)
+
+        monkeypatch.setattr(lrtc, "khatri_rao", counting)
+        cfg = LrtcConfig(k_init=10, lam=8.0, spec=spec.reg, solver="qn", rng_seed=0)
+        rep = quasi_newton_solve(data, mask, cfg)
+        assert rep.iterations > 100
+        assert len(set(points)) == len(points)
 
 
 class TestSolveDispatch:

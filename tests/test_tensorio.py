@@ -98,6 +98,33 @@ def test_mask_round_trip(tmp_path):
     assert np.array_equal(loaded.linear_indices, mask.linear_indices)
 
 
+def test_mask_read_copies_no_payload(tmp_path):
+    # the offsets are read into one preallocated array, and checking their
+    # order makes no array as large as them
+    mask = sample_mask((100, 100, 100), 0.9, seed=4)
+    path = tmp_path / "m.msk"
+    write_mask(path, mask)
+    payload = 8 * mask.count
+    tracemalloc.start()
+    try:
+        back = read_mask(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.linear_indices, mask.linear_indices)
+    assert peak < 1.5 * payload
+
+
+@pytest.mark.parametrize("offsets", [[2**63], [1, 2**63], [2**64 - 1]])
+def test_mask_offset_beyond_int64_rejected(tmp_path, offsets):
+    # u64 offsets of 2^63 and above do not fit the int64 offsets of a mask
+    path = tmp_path / "m.msk"
+    body = struct.pack("<Q", len(offsets)) + struct.pack(f"<{len(offsets)}Q", *offsets)
+    path.write_bytes(_header(b"MASK", [2**16] * 4) + body)
+    with pytest.raises(FormatError):
+        read_mask(path)
+
+
 def test_mask_header_bytes(tmp_path):
     mask = ObservationMask((2, 2), np.array([0, 3], dtype=np.int64))
     path = tmp_path / "m.msk"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from helpers import C8, grid_minimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from tensorenr import harness, trpca
@@ -8,6 +10,7 @@ from tensorenr.core import cp_reconstruct, khatri_rao, unfold
 from tensorenr.lrtc import init_factors
 from tensorenr.regularizers import (
     RegularizerSpec,
+    prox_group_soft,
     reg_value,
     soft_threshold_elem,
 )
@@ -16,6 +19,7 @@ from tensorenr.trpca import (
     _admm_sweep,
     _als_sweep,
     _asym_sweep,
+    _fit,
     _objective,
     _solve_right,
     sparsity_summary,
@@ -522,3 +526,97 @@ def test_answers_do_not_depend_on_data_layout(solver):
     assert got.objective_trace == want.objective_trace
     assert got.rank_trace == want.rank_trace
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    k=st.integers(0, 3),
+    order=st.sampled_from("CF"),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_c_ordered_cp_residual(shape, k, order, seed):
+    # the fit is formed as F_0 KR^T with the last mode fastest, so it comes
+    # out C-ordered whatever the data's layout, and equals D - CP(F)
+    rng = np.random.default_rng(seed)
+    data = np.asarray(rng.standard_normal(shape), order=order)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    got = _fit(data, factors)
+    want = data - cp_reconstruct(factors)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    k=st.integers(0, 3),
+    zero_sparse=st.booleans(),
+    lam_x=st.floats(0.0, 10.0),
+    lam_e=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_is_the_three_sums(shape, k, zero_sparse, lam_x, lam_e, seed):
+    rng = np.random.default_rng(seed)
+    fit = rng.standard_normal(shape)
+    sparse = np.zeros(shape) if zero_sparse else rng.standard_normal(shape) * (rng.random(shape) < 0.3)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    terms = [(float(rng.uniform(0.1, 3.0)), float(rng.choice([0.5, 1.0, 2.0]))) for _ in shape]
+    res = fit - sparse
+    pen = sum(c * np.sum(np.linalg.norm(f, axis=0) ** e) for f, (c, e) in zip(factors, terms))
+    want = 0.5 * np.sum(res * res) + lam_x * pen + lam_e * np.sum(np.abs(sparse))
+    got = _objective(fit, factors, sparse, terms, lam_x, lam_e)
+    assert isinstance(got, float)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_admm_sweep_is_public_x_updates():
+    # the sweep forms D - E once for its d mode updates; each update must be
+    # the public trpca_x_update's, bit for bit
+    data, factors, sparse, aux, duals = random_instance((4, 5, 6), 3, 25)
+    lam_x, mu = 0.4, 3.0
+    want_f, want_y, want_z = list(factors), list(aux), list(duals)
+    for j in range(3):
+        want_f[j] = trpca_x_update(data, sparse, want_f, want_y[j], want_z[j], j, mu)
+        want_y[j] = prox_group_soft(want_f[j] - want_z[j] / mu, lam_x / mu)
+        want_z[j] = want_z[j] + mu * (want_y[j] - want_f[j])
+    fit = _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu)
+    for got, want in zip((factors, aux, duals), (want_f, want_y, want_z)):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(fit, _fit(data, want_f))
+
+
+def _change(new, old):
+    return np.linalg.norm(new - old) / max(1.0, np.linalg.norm(old))
+
+
+@pytest.mark.parametrize("solver", ["admm", "asym", "als"])
+def test_stops_at_first_small_change(solver):
+    # iteration t stops the solve when every factor and the sparse term
+    # moved by less than conv_tol relative to iteration t - 1. Recompute
+    # those changes from the t_max = t - 1 and t_max = t solves (t = 0 is
+    # the start: init_factors and E = 0), then give each threshold that
+    # separates two of them as conv_tol: the solve must stop at the first
+    # t below it. Large spikes make ||E|| well above 1 and moving, so a
+    # relative sparse change measured against the wrong iterate shows.
+    shape, k, n = (5, 6, 7), 2, 25
+    rng = np.random.default_rng(26)
+    data = 3.0 * clean_rank_one(shape, 26) + 8.0 * rng.standard_normal(shape) * (rng.random(shape) < 0.15)
+    base = dict(k_init=k, lam_x=0.05, lam_e=0.5, solver=solver, **SOLVER_ARGS[solver])
+    states = [(init_factors(shape, k, 0), np.zeros(shape))]
+    for t in range(1, n + 1):
+        rep, sparse = trpca_solve(data, TrpcaConfig(t_max=t, conv_tol=0.0, **base))
+        assert rep.iterations == t and rep.final_rank == k
+        states.append((rep.factors, sparse))
+    changes = [
+        max(max(_change(f, p) for f, p in zip(new[0], old[0])), _change(new[1], old[1]))
+        for old, new in zip(states, states[1:])
+    ]
+    levels = sorted(set(changes))
+    assert len(levels) > 5
+    for lo, hi in zip(levels, levels[1:]):
+        tol = float(np.sqrt(lo * hi))
+        first = next(t for t, c in enumerate(changes, 1) if c < tol)
+        rep, sparse = trpca_solve(data, TrpcaConfig(t_max=n, conv_tol=tol, **base))
+        assert (rep.iterations, rep.converged) == (first, True)
+        assert np.array_equal(sparse, states[first][1])
