@@ -45,8 +45,8 @@ from .core import (
 )
 from .regularizers import (
     RegularizerSpec,
+    _prox_radial,
     prox_group_soft,
-    prox_irls,
     prox_ridge_scale,
     reg_value,
 )
@@ -343,36 +343,6 @@ def _check_problem(data, mask, config):
     return d
 
 
-def _prox_gradient_descent(target, exponent, lam_eff, lipschitz, steps=5, max_halvings=20):
-    """A few descent steps on 0.5*L*||x - g||^2 + lam * sum ||x_i||^e for
-    exponents above 1, where no closed-form prox is available."""
-    g = target
-    x = g.copy()
-    norms = np.linalg.norm(x, axis=0)
-    fx = lam_eff * float(np.sum(norms**exponent))
-    for _ in range(steps):
-        norms = np.linalg.norm(x, axis=0)
-        with np.errstate(divide="ignore"):
-            colw = np.where(norms > 0.0, norms ** (exponent - 2.0), 0.0)
-        grad = lipschitz * (x - g) + lam_eff * exponent * (x * colw)
-        step = 1.0 / lipschitz
-        accepted = False
-        for _ in range(max_halvings):
-            xn = x - step * grad
-            nn = np.linalg.norm(xn, axis=0)
-            fn = 0.5 * lipschitz * float(np.sum((xn - g) ** 2)) + lam_eff * float(
-                np.sum(nn**exponent)
-            )
-            if fn <= fx:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        x, fx = xn, fn
-    return x
-
-
 def _prox_mode(target, term, lam, lipschitz):
     """Proximal step for one mode's column penalty lam*coeff*sum||x_i||^e."""
     coeff, exponent = term
@@ -383,9 +353,7 @@ def _prox_mode(target, term, lam, lipschitz):
         return prox_group_soft(target, lam_eff / lipschitz)
     if exponent == 2.0:
         return prox_ridge_scale(target, lipschitz, lam_eff)
-    if exponent < 1.0:
-        return prox_irls(target, exponent, lam_eff / lipschitz)
-    return _prox_gradient_descent(target, exponent, lam_eff, lipschitz)
+    return _prox_radial(target, exponent, lam_eff / lipschitz)
 
 
 def _prune_zero_components(mats_list, norms):

@@ -105,7 +105,9 @@ def write_mask(path, mask):
     with open(path, "wb") as fh:
         fh.write(_pack_header(MASK_MAGIC, mask.shape))
         fh.write(struct.pack("<Q", mask.count))
-        fh.write(mask.linear_indices.astype("<u8").tobytes())
+        # the offsets are non-negative, so their little-endian int64 bytes
+        # are the u64 payload; written through the buffer protocol, no copy
+        fh.write(mask.linear_indices.astype("<i8", copy=False))
 
 
 def read_mask(path):

@@ -15,8 +15,8 @@ scaled by s:
   thresholds;
 * :func:`trpca_asym_solve`   spec ``asym_b:q`` (q = 2/m), s = 1/p_eff
   (mode 0 carries ||x||^q / q, the others ||x||^2 / 2); same splitting on
-  mode 0 only, with a reweighted prox, and ridge-regularized least squares
-  on the remaining modes;
+  mode 0 only, with an exact radial prox, and ridge-regularized least
+  squares on the remaining modes;
 * :func:`trpca_als_solve`    spec ``sym:p=2/d``, s = 1 (every mode
   carries ||x||^2 / d); plain alternating ridge least squares, whose
   objective is monotone because every block update is an exact minimizer.
@@ -96,7 +96,7 @@ def _check_data(data):
 
 
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-_ASUM, _NRM2 = get_blas_funcs(("asum", "nrm2"), dtype=np.float64)
+_NRM2 = get_blas_funcs("nrm2", dtype=np.float64)
 
 
 def _solve_right(gram, rhs):
@@ -173,11 +173,12 @@ def _fit(data, factors):
 
 def _objective(fit, factors, sparse, terms, lam_x, lam_e):
     """Unaugmented objective at the fit D - CP(F) of `factors`; `terms`
-    holds each mode's (coeff, exponent). Each sum is one pass: a dot
-    product of the raveled residual and a BLAS asum of the sparse term."""
+    holds each mode's (coeff, exponent). The squared residual is one dot
+    product. The l1 norm of the sparse term is a numpy sum, not a BLAS asum,
+    whose rounding depends on the alignment of the buffer."""
     res = (fit - sparse).ravel()
     pen = sum(c * float(np.sum(np.linalg.norm(f, axis=0) ** e)) for f, (c, e) in zip(factors, terms))
-    return 0.5 * float(res @ res) + lam_x * pen + lam_e * _ASUM(sparse.ravel())
+    return 0.5 * float(res @ res) + lam_x * pen + lam_e * float(np.abs(sparse).sum())
 
 
 def _ridge_updates(target, factors, modes, ridge):

@@ -193,6 +193,17 @@ class TestExtrapolationWeight:
             extrapolation_weight(-1.0, 1.0, 3)
 
 
+def test_prox_mode_exponent_three_is_stationary():
+    # the prox of lam*coeff*||x||^3 at curvature L solves
+    # L*(x - g) + 3*lam*coeff*||x||*x = 0 column by column
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal((7, 4)) * np.array([0.01, 1.0, 10.0, 100.0])
+    coeff, lam, lip = 1.0 / 3.0, 0.9, 2.5
+    x = lrtc._prox_mode(g, (coeff, 3.0), lam, lip)
+    res = lip * (x - g) + 3.0 * lam * coeff * np.linalg.norm(x, axis=0) * x
+    assert np.all(np.linalg.norm(res, axis=0) <= 1e-13 * lip * np.linalg.norm(g, axis=0))
+
+
 class TestBcdeSolve:
     def test_exact_fit_rank_one(self):
         data, mask = rank_one_problem((10, 10, 10), 11)
@@ -220,18 +231,20 @@ class TestBcdeSolve:
         assert not rep.recovered.any()
 
     def test_monotone_without_extrapolation(self):
+        # p = 1/3 takes the group soft threshold, p = 1/6 the radial prox
+        # with exponent 1/2
         rng = np.random.default_rng(14)
         data = rng.standard_normal((6, 6, 6))
         mask = sample_mask((6, 6, 6), 0.5, seed=14)
-        cfg = LrtcConfig(
-            k_init=4, lam=0.1, spec=sym_spec(3, 1.0 / 3.0), t_max=40, delta=0.0
-        )
-        rep = bcde_solve(data, mask, cfg)
-        assert np.all(np.diff(rep.objective_trace) <= 1e-12)
+        for p in (1.0 / 3.0, 1.0 / 6.0):
+            cfg = LrtcConfig(k_init=4, lam=0.1, spec=sym_spec(3, p), t_max=40, delta=0.0)
+            rep = bcde_solve(data, mask, cfg)
+            assert np.all(np.diff(rep.objective_trace) <= 1e-12)
 
-    @pytest.mark.parametrize("p", [1.0 / 3.0, 2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("p", [1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     def test_objective_decreases_each_prox_family(self, p):
-        # p picks the linear, quadratic and plain-gradient prox paths
+        # p gives exponents 1/2, 1, 2 and 3: the radial prox below 1, the
+        # group soft threshold, the ridge scaling and the radial prox above 1
         rng = np.random.default_rng(15)
         data = rng.standard_normal((5, 6, 7))
         mask = sample_mask((5, 6, 7), 0.3, seed=15)
@@ -239,7 +252,8 @@ class TestBcdeSolve:
         rep = bcde_solve(data, mask, cfg)
         assert rep.objective_trace[-1] < rep.objective_trace[0]
 
-    def test_irls_path_via_table2(self):
+    def test_exponent_three_path_via_table2(self):
+        # s37 puts exponent 3 on mode 0 and plain norms on the others
         rng = np.random.default_rng(16)
         data = rng.standard_normal((5, 5, 5))
         mask = sample_mask((5, 5, 5), 0.4, seed=16)

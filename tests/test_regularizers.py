@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from helpers import grid_minimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
@@ -9,6 +11,7 @@ from scipy import optimize
 from tensorenr.core import cp_reconstruct
 from tensorenr.regularizers import (
     RegularizerSpec,
+    _prox_radial,
     balance_factors,
     component_magnitudes,
     prox_group_soft,
@@ -326,13 +329,6 @@ class TestProxIrls:
         got = prox_irls(np.array([[2.0]]), 0.5, 0.3, inner_iters=50)[0, 0]
         assert got == pytest.approx(y_star, abs=1e-3)
 
-    def test_surrogate_monotone(self):
-        rng = np.random.default_rng(10)
-        g = rng.standard_normal((5, 4))
-        _, trace = prox_irls(g, 1.0 / 3.0, 0.8, return_trace=True)
-        diffs = np.diff(trace)
-        assert np.all(diffs <= 1e-10)
-
     def test_zero_candidate_wins_for_small_columns(self):
         # with a heavy penalty the true objective prefers the zero column
         got = prox_irls(np.array([[0.1]]), 0.5, 5.0, inner_iters=50)
@@ -348,6 +344,88 @@ class TestProxIrls:
         for bad in (0.0, 1.0, 1.5, -0.5):
             with pytest.raises(ValueError):
                 prox_irls(np.ones((2, 2)), bad, 1.0)
+
+
+def _critical_tau(a, e, kind):
+    """For e < 1, the tau at which a column of norm `a` first has a nonzero
+    stationary point ("stationary": phi'(s_c) = 0 at the inflection point
+    s_c), or at which that point ties with zero ("tie": phi(s) = phi(0) at
+    s = 2a(1-e)/(2-e))."""
+    if kind == "stationary":
+        return (a * (1.0 - e) / (2.0 - e)) ** (2.0 - e) / (e * (1.0 - e))
+    s = 2.0 * a * (1.0 - e) / (2.0 - e)
+    return s ** (1.0 - e) * (a - s) / e
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e=st.sampled_from([1.0 / 6.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.5, 3.0, 4.0]),
+    m=st.integers(1, 3),
+    k=st.integers(1, 4),
+    zero_column=st.booleans(),
+    tau_kind=st.sampled_from(["zero", "random", "huge", "stationary", "tie"]),
+    tau_exp=st.floats(-10.0, 6.0),
+    nudge=st.floats(-1e-3, 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_radial_prox_is_the_exact_minimizer(e, m, k, zero_column, tau_kind, tau_exp, nudge, seed):
+    # per column the prox minimizes phi(s) = 0.5*(s - a)^2 + tau*s^e along
+    # the column's own direction, and raises no warning
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    if zero_column:
+        g[:, 0] = 0.0
+    a = np.linalg.norm(g, axis=0)
+    a_ref = a[-1] if a[-1] > 0.0 else 1.0
+    if tau_kind == "zero":
+        tau = 0.0
+    elif tau_kind == "random":
+        tau = 10.0**tau_exp
+    elif tau_kind == "huge":
+        # for 1 < e < 2 this puts the root near 0, where phi' is steepest
+        tau = 10.0 ** (tau_exp + 12.0)
+    elif e < 1.0:
+        tau = _critical_tau(a_ref, e, tau_kind) * (1.0 + nudge)
+    else:
+        tau = 10.0 ** (tau_exp / 2.0) * a_ref ** (2.0 - e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = _prox_radial(g, e, tau)
+    assert y.shape == g.shape
+    for i in range(k):
+        alone = _prox_radial(g[:, i : i + 1], e, tau)[:, 0]
+        assert np.allclose(y[:, i], alone, rtol=1e-12, atol=0.0)
+        if a[i] == 0.0:
+            assert not y[:, i].any()
+            continue
+        big = int(np.argmax(np.abs(g[:, i])))
+        c = y[big, i] / g[big, i]
+        assert 0.0 <= c <= 1.0
+        assert np.allclose(y[:, i], c * g[:, i], rtol=1e-12, atol=0.0)
+
+        def phi(t, a_i=a[i]):
+            return 0.5 * (t - a_i) ** 2 + tau * t**e
+
+        t = grid_minimize(phi, 0.0, a[i], coarse=1e-3 * a[i], fine=1e-7 * a[i])
+        assert phi(c * a[i]) <= phi(t) + 1e-12 * 0.5 * a[i] ** 2
+
+
+class TestProxRadial:
+    def test_exponent_below_one_meets_zero_at_the_tie(self):
+        # just below the tie tau the shrunk column wins, just above it zero
+        g = np.array([[3.0], [4.0]])
+        tau = _critical_tau(5.0, 0.5, "tie")
+        assert np.linalg.norm(_prox_radial(g, 0.5, tau * (1.0 - 1e-9))) > 1.0
+        assert not _prox_radial(g, 0.5, tau * (1.0 + 1e-9)).any()
+
+    def test_exponent_above_one_keeps_a_tiny_root(self):
+        # e = 1.5 under a huge penalty: the root is near 0 but not 0, and
+        # phi'(s) = s - a + tau*e*sqrt(s) vanishes there
+        g = np.array([[2.0]])
+        tau = 1e6
+        s = float(_prox_radial(g, 1.5, tau)[0, 0])
+        assert 0.0 < s < 1e-10
+        assert abs(s - 2.0 + 1.5 * tau * math.sqrt(s)) <= 1e-14
 
 
 @settings(max_examples=200, deadline=None)

@@ -89,6 +89,22 @@ def test_tensor_io_copies_no_payload(tmp_path):
     assert read_peak < 1.5 * t.nbytes
 
 
+def test_mask_write_copies_no_payload(tmp_path):
+    # the offsets are written through the buffer protocol, not as a converted
+    # copy and its bytes
+    mask = sample_mask((100, 100, 100), 0.9, seed=4)
+    path = tmp_path / "m.msk"
+    payload = 8 * mask.count
+    tracemalloc.start()
+    try:
+        write_mask(path, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read_mask(path).linear_indices, mask.linear_indices)
+    assert peak < 0.5 * payload
+
+
 def test_mask_round_trip(tmp_path):
     mask = sample_mask((4, 5, 6), 0.65, seed=3)
     path = tmp_path / "m.msk"

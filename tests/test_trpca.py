@@ -570,6 +570,24 @@ def test_objective_is_the_three_sums(shape, k, zero_sparse, lam_x, lam_e, seed):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("shape", [(10, 10, 10), (30, 30, 30)])
+def test_objective_does_not_depend_on_buffer_alignment(shape):
+    # with a zero residual and no factor penalty the objective is lam_e*||E||_1;
+    # the same E at each of 8 element offsets into one buffer, so at every
+    # 8-byte alignment modulo 64 bytes, must give one value
+    rng = np.random.default_rng(31)
+    sparse = rng.standard_normal(shape)
+    factors = [rng.standard_normal((n, 3)) for n in shape]
+    terms = [(1.0, 1.0)] * len(shape)
+    buf = np.empty(sparse.size + 8)
+    values = set()
+    for off in range(8):
+        placed = buf[off : off + sparse.size].reshape(shape)
+        placed[...] = sparse
+        values.add(_objective(placed, factors, placed, terms, 0.0, 0.7))
+    assert len(values) == 1
+
+
 def test_admm_sweep_is_public_x_updates():
     # the sweep forms D - E once for its d mode updates; each update must be
     # the public trpca_x_update's, bit for bit
