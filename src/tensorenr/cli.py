@@ -154,7 +154,8 @@ def _cmd_lrtc(args):
         fh.write(report.trace_csv())
     print(
         f"objective={report.objective_trace[-1]:.6g} rank={report.final_rank} "
-        f"iterations={report.iterations} converged={report.converged}"
+        f"iterations={report.iterations} converged={report.converged} "
+        f"stop={report.stop_reason}"
     )
     return 0
 

@@ -9,7 +9,11 @@ of the Euclidean-norm regularizers:
 
 * :func:`bcde_solve` cycles over modes with extrapolated proximal steps,
   a per-block curvature and a restart safeguard that doubles the
-  curvature whenever a sweep fails to decrease the objective;
+  curvature whenever a sweep fails to decrease the objective. For
+  lam > 0 each accepted sweep ends by rescaling every component to the
+  scaling (product of the mode scales 1) that minimizes its regularizer,
+  in closed form: an exact descent step that leaves CP(F) and the loss
+  unchanged. It is skipped at lam = 0, where it lowers nothing;
 * :func:`quasi_newton_solve` runs limited-memory BFGS with Armijo
   backtracking on all factor entries jointly, treating the regularizer
   subgradient as zero on zero columns.
@@ -45,7 +49,9 @@ from .core import (
 )
 from .regularizers import (
     RegularizerSpec,
+    _balancer,
     _prox_radial,
+    _value_from_norms,
     prox_group_soft,
     prox_ridge_scale,
     reg_value,
@@ -104,7 +110,14 @@ class SolveReport:
     ``objective_trace``, ``rank_trace`` and ``time_trace`` are aligned:
     entry 0 describes the initial point, entry t the state after sweep t.
     ``wall_time`` is not deterministic; everything else is for a fixed
-    input and seed.
+    input and seed. ``stop_reason`` names why the solve stopped: ``tol``
+    (the stop test of the solver passed), ``rank_zero`` (every component
+    was pruned), ``t_max`` (the iteration budget ran out),
+    ``safeguard_cap`` (a BCDE sweep still raised the objective at the
+    largest curvature multiplier; the last accepted iterate is returned,
+    and ``iterations`` counts the accepted sweeps)
+    or ``line_search_fail`` (no L-BFGS step decreased the objective).
+    ``converged`` holds for the first two.
     """
 
     recovered: np.ndarray
@@ -116,6 +129,7 @@ class SolveReport:
     converged: bool
     rank_trace: list = field(default_factory=list)
     time_trace: list = field(default_factory=list)
+    stop_reason: str = "t_max"
 
     def trace_csv(self):
         """Per-iteration trace as CSV text with header iter,objective,rank,seconds."""
@@ -140,7 +154,7 @@ class _Run:
         self.rank.append(rank)
         self.seconds.append(time.perf_counter() - self.start if self.seconds else 0.0)
 
-    def report(self, factors, shape, iterations, converged):
+    def report(self, factors, shape, iterations, stop_reason):
         k = factors[0].shape[1]
         return SolveReport(
             recovered=cp_reconstruct(factors) if k else np.zeros(shape),
@@ -149,9 +163,10 @@ class _Run:
             objective_trace=self.objective,
             iterations=iterations,
             wall_time=time.perf_counter() - self.start,
-            converged=converged,
+            converged=stop_reason in ("tol", "rank_zero"),
             rank_trace=self.rank,
             time_trace=self.seconds,
+            stop_reason=stop_reason,
         )
 
 
@@ -359,20 +374,32 @@ def _prox_mode(target, term, lam, lipschitz):
 def _prune_zero_components(mats_list, norms):
     """Drop components whose column vanished in any mode. `mats_list` is a
     list of matrix sets sharing column indices (e.g. current and previous
-    iterates, or a Khatri-Rao matrix of them); all are sliced consistently."""
+    iterates, or a Khatri-Rao matrix of them); all are sliced consistently,
+    into C-ordered copies: the matrix products of the next sweep round by
+    operand layout."""
     dead = np.any(norms == 0.0, axis=0)
     if not np.any(dead):
         return mats_list, False
     keep = ~dead
-    return [[f[:, keep] for f in mats] for mats in mats_list], True
+    return [[np.ascontiguousarray(f[:, keep]) for f in mats] for mats in mats_list], True
 
 
 def bcde_solve(data, mask, config):
-    """Block coordinate descent with extrapolation over CP factors."""
+    """Block coordinate descent with extrapolation over CP factors.
+
+    A sweep that raises the objective is retried with doubled curvature
+    and no extrapolation; once the multiplier reaches ``_SAFEGUARD_CAP``
+    the solve stops at the last accepted iterate. With ``lam > 0`` each
+    accepted sweep ends by rescaling every component to the scaling that
+    minimizes its regularizer (``regularizers._balancer``), an
+    exact descent step that leaves CP(F) and the loss unchanged. At
+    ``lam == 0`` it would lower nothing, and the sweep is left as it is.
+    """
     d = _check_problem(data, mask, config)
     ndim = d.ndim
     lam, spec = config.lam, config.spec
     terms = spec.mode_terms()
+    balance = _balancer(terms)
     loss = _MaskedLoss(d, mask)
 
     factors = init_factors(d.shape, config.k_init, config.rng_seed)
@@ -387,18 +414,15 @@ def bcde_solve(data, mask, config):
     run.record(obj, k)
     l_prev = [None] * ndim
     l_curr = [None] * ndim
-    converged = False
+    stop_reason = "t_max"
     iterations = 0
 
     for t in range(1, config.t_max + 1):
-        iterations = t
-        saved_f = [f.copy() for f in factors]
-        saved_p = [f.copy() for f in prev]
         mult = 1.0
         allow_extrap = True
         while True:
-            fac = [f.copy() for f in saved_f]
-            pv = [f.copy() for f in saved_p]
+            # a sweep replaces factor arrays and never writes into them
+            fac, pv = list(factors), list(prev)
             new_l = [None] * ndim
             for j in range(ndim):
                 if allow_extrap:
@@ -413,33 +437,45 @@ def bcde_solve(data, mask, config):
                 fac[j] = _prox_mode(xhat - grad / lip, terms[j], lam, lip)
                 new_l[j] = lip
             cand_kr0 = khatri_rao(fac, skip=0)
-            cand = loss.value(fac, cand_kr0) + lam * reg_value(fac, spec)
+            # the column norms np.linalg.norm gives, without its call overhead
+            norms = np.sqrt([np.add.reduce(f * f, axis=0) for f in fac])
+            fit = loss.value(fac, cand_kr0)
+            cand = fit + lam * reg_value(fac, spec, norms)
             if cand <= obj or mult >= _SAFEGUARD_CAP:
                 break
             # Objective went up: retry the sweep with doubled curvature
             # and no extrapolation.
             mult *= 2.0
             allow_extrap = False
+        if not cand <= obj:
+            stop_reason = "safeguard_cap"
+            break
+        iterations = t
         factors, prev = fac, pv
         l_prev, l_curr = l_curr, new_l
 
-        norms = np.stack([np.linalg.norm(f, axis=0) for f in factors])
-        (factors, prev, (kr0,)), pruned = _prune_zero_components(
-            [factors, prev, [cand_kr0]], norms
+        (factors, prev, (kr0,), (norms,)), pruned = _prune_zero_components(
+            [factors, prev, [cand_kr0], [norms]], norms
         )
-        # C order, as khatri_rao gives it for the sweep's C-ordered copies
-        # of the factors: the matrix product rounds by operand layout
-        kr0 = np.ascontiguousarray(kr0)
         if pruned:
             k = factors[0].shape[1]
+        if lam > 0.0 and k:
+            scales = balance(norms)
+            factors = [f * s for f, s in zip(factors, scales)]
+            prev = [f * s for f, s in zip(prev, scales)]
+            # the mode-0 Khatri-Rao columns are products of the other
+            # modes' columns, so they scale by prod_{j>0} s_j (= 1/s_0)
+            # (a new array: for order 2, kr0 is the mode-1 factor itself)
+            kr0 = kr0 * scales[1:].prod(axis=0)
+            cand = fit + lam * _value_from_norms(norms * scales, terms)
 
         run.record(cand, k)
-        converged = abs(obj - cand) <= config.conv_tol * max(1.0, abs(obj)) or k == 0
-        obj = cand
-        if converged:
+        if k == 0 or abs(obj - cand) <= config.conv_tol * max(1.0, abs(obj)):
+            stop_reason = "rank_zero" if k == 0 else "tol"
             break
+        obj = cand
 
-    return run.report(factors, d.shape, iterations, converged)
+    return run.report(factors, d.shape, iterations, stop_reason)
 
 
 def _reg_grad_mode(x, term):
@@ -529,7 +565,7 @@ def quasi_newton_solve(data, mask, config):
     g = grad(x, k)
     run.record(f, k)
     s_hist, y_hist = [], []
-    converged = False
+    stop_reason = "t_max"
     iterations = 0
 
     for t in range(1, config.t_max + 1):
@@ -543,6 +579,7 @@ def quasi_newton_solve(data, mask, config):
             p = -g
             xn, fn = armijo(x, k, f, g, p, 1.0 / max(1.0, float(np.linalg.norm(g))))
         if xn is None:
+            stop_reason = "line_search_fail"
             break
         gn = grad(xn, k)
         s = xn - x
@@ -570,11 +607,11 @@ def quasi_newton_solve(data, mask, config):
             g = grad(x, k)
 
         run.record(f, k)
-        converged = abs(f_before - f) <= config.conv_tol * max(1.0, abs(f_before)) or k == 0
-        if converged:
+        if k == 0 or abs(f_before - f) <= config.conv_tol * max(1.0, abs(f_before)):
+            stop_reason = "rank_zero" if k == 0 else "tol"
             break
 
-    return run.report(unpack(x, k), dims, iterations, converged)
+    return run.report(unpack(x, k), dims, iterations, stop_reason)
 
 
 def solve(data, mask, config):

@@ -170,18 +170,25 @@ class RegularizerSpec:
         raise ValueError(f"unknown regularizer kind {head!r}")
 
 
-def reg_value(factors, spec):
-    """Evaluate the regularizer on a factor set."""
-    shape, _ = validate_factors(factors)
+def reg_value(factors, spec, norms=None):
+    """Evaluate the regularizer on a factor set. `norms`, when given, are
+    the factors' column norms, one row per mode, so a caller that needs
+    them anyway computes them once."""
+    shape, k = validate_factors(factors)
     if len(shape) != spec.order:
         raise ValueError(
             f"factor set has order {len(shape)}, spec expects {spec.order}"
         )
-    total = 0.0
-    for f, (coeff, exp) in zip(factors, spec.mode_terms()):
-        norms = np.linalg.norm(np.asarray(f, dtype=np.float64), axis=0)
-        total += coeff * float(np.sum(norms**exp))
-    return total
+    if norms is None:
+        norms = [np.linalg.norm(np.asarray(f, dtype=np.float64), axis=0) for f in factors]
+    elif np.shape(norms) != (len(shape), k):
+        raise ValueError(f"norms must have shape {(len(shape), k)}, got {np.shape(norms)}")
+    return _value_from_norms(norms, spec.mode_terms())
+
+
+def _value_from_norms(norms, terms):
+    """sum_j c_j * sum_i n_ij^e_j for column norms `norms`, one row per mode."""
+    return sum(coeff * float((n**exp).sum()) for n, (coeff, exp) in zip(norms, terms))
 
 
 def component_magnitudes(factors):
@@ -193,23 +200,49 @@ def component_magnitudes(factors):
     return mags
 
 
+def _balancer(terms):
+    """Closed-form best rescaling of CP components under the per-mode
+    (c_j, e_j) pairs `terms`.
+
+    Returns a function that maps positive column norms n_j, one row per
+    mode, to the per-mode scales s_j that minimize
+    sum_j c_j * (s_j n_j)^e_j for each component subject to
+    prod_j s_j = 1. The minimizer is where all the weighted addends
+    c_j e_j (s_j n_j)^e_j agree on a common value mu (weighted AM-GM); in
+    logs,
+
+        log mu = (sum_j log n_j + sum_j log(c_j e_j) / e_j) / sum_j 1/e_j,
+        log(s_j n_j) = (log mu - log(c_j e_j)) / e_j.
+
+    A component's rescaled value is mu * sum_j 1/e_j: its magnitude to the
+    family's effective power (for ``sym``, to the power its snapped
+    exponents give).
+    """
+    coeff, exps = np.array(terms, dtype=np.float64).T[:, :, None]
+    log_ce = np.log(coeff * exps)
+    offset, weight = (log_ce / exps).sum(), (1.0 / exps).sum()
+
+    def scales(norms):
+        log_n = np.log(norms)
+        log_mu = (log_n.sum(axis=0) + offset) / weight
+        return np.exp((log_mu - log_ce) / exps - log_n)
+
+    return scales
+
+
 def balance_factors(factors):
     """Rescale every component so all its mode norms equal the geometric
     mean of the originals. Components containing a zero column are zeroed
     in every mode. The reconstruction is unchanged."""
-    shape, k = validate_factors(factors)
+    _, k = validate_factors(factors)
     mats = [np.array(f, dtype=np.float64) for f in factors]
     if k == 0:
         return mats
     norms = np.stack([np.linalg.norm(f, axis=0) for f in mats])
-    alive = np.all(norms > 0.0, axis=0)
-    target = np.zeros(k)
-    with np.errstate(divide="ignore"):
-        logs = np.where(norms > 0.0, np.log(np.where(norms > 0.0, norms, 1.0)), 0.0)
-    target[alive] = np.exp(np.mean(logs[:, alive], axis=0))
-    for j, f in enumerate(mats):
-        scale = np.zeros(k)
-        scale[alive] = target[alive] / norms[j, alive]
+    alive = norms.all(axis=0)
+    scales = np.zeros_like(norms)
+    scales[:, alive] = _balancer([(1.0, 1.0)] * len(mats))(norms[:, alive])
+    for f, scale in zip(mats, scales):
         f *= scale
     return mats
 
@@ -217,7 +250,7 @@ def balance_factors(factors):
 def prox_group_soft(matrix, threshold):
     """Column-wise group soft threshold: shrink each column's norm by
     `threshold`, zeroing columns at or below it."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     y = np.asarray(matrix, dtype=np.float64)
     norms = np.linalg.norm(y, axis=0)
@@ -229,9 +262,9 @@ def prox_group_soft(matrix, threshold):
 def prox_ridge_scale(matrix, lipschitz, lam):
     """Closed-form prox of lam*||.||_F^2 at curvature `lipschitz`:
     uniform shrinkage by lipschitz / (lipschitz + 2 lam)."""
-    if lipschitz <= 0:
+    if not lipschitz > 0:
         raise ValueError(f"lipschitz must be positive, got {lipschitz}")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     y = np.asarray(matrix, dtype=np.float64)
     return (lipschitz / (lipschitz + 2.0 * lam)) * y
@@ -240,7 +273,7 @@ def prox_ridge_scale(matrix, lipschitz, lam):
 def soft_threshold_elem(tensor, lam):
     """Elementwise soft threshold sign(v) * max(|v| - lam, 0), computed as
     v - clip(v, -lam, lam); entries inside the band come out as +0.0."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     t = np.asarray(tensor, dtype=np.float64)
     return t - np.clip(t, -lam, lam)
@@ -313,6 +346,6 @@ def prox_irls(matrix, exponent, lam, inner_iters=64):
     """
     if not 0.0 < exponent < 1.0:
         raise ValueError(f"exponent must lie in (0, 1), got {exponent}")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     return _prox_radial(matrix, exponent, lam, max_steps=inner_iters)

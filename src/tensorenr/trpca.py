@@ -259,7 +259,7 @@ def _drive(data, config, split, terms, sweep):
 
     run = _Run()
     run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
-    converged = False
+    stop_reason = "t_max"
     iterations = 0
 
     for t in range(1, config.t_max + 1):
@@ -280,15 +280,15 @@ def _drive(data, config, split, terms, sweep):
 
         k = factors[0].shape[1]
         run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), k)
-        converged = k == 0 or (
+        if k == 0 or (
             not pruned
             and max(_relative_change(f, p) for f, p in zip(factors, prev_factors)) < config.conv_tol
             and _relative_change(sparse, prev_sparse) < config.conv_tol
-        )
-        if converged:
+        ):
+            stop_reason = "rank_zero" if k == 0 else "tol"
             break
 
-    return run.report(factors, data.shape, iterations, converged), sparse
+    return run.report(factors, data.shape, iterations, stop_reason), sparse
 
 
 def trpca_admm_solve(data, config):

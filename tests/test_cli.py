@@ -77,6 +77,7 @@ class TestLrtcCommand:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "objective=" in stdout and "rank=" in stdout
+        assert stdout.split()[-1] in ("stop=tol", "stop=t_max")
         recovered = read_tensor(f"{out}.tnsr")
         truth = read_tensor(f"{lrtc_files}_truth.tnsr")
         err = np.linalg.norm(recovered - truth) / np.linalg.norm(truth)

@@ -28,7 +28,7 @@ from tensorenr.lrtc import (
     smooth_grad,
     solve,
 )
-from tensorenr.regularizers import RegularizerSpec, reg_value
+from tensorenr.regularizers import RegularizerSpec, component_magnitudes, reg_value
 
 
 def sym_spec(d, p):
@@ -286,6 +286,95 @@ class TestBcdeSolve:
         rep = bcde_solve(data, mask, cfg)
         assert rep.converged
         assert rep.iterations < 300
+
+
+    def test_rebalanced_solve_converges_on_the_c5_cell(self):
+        # the gate's c5 cell (missing 0.7, seed 0, lambda 8): rebalancing
+        # every component after each sweep lets the objective settle well
+        # inside the 500-sweep budget, at balanced factors whose penalty is
+        # sum_i |lambda_i|^(1/3) and whose objective is the one recorded
+        spec = harness.ExperimentSpec(task="lrtc", shape=(30, 30, 30), true_rank=5, k_init=10,
+                                      noise_level=0.1, missing_rate=0.7, reg="sym:p=0.3333")
+        _, data, mask = harness.gen_lrtc_data(spec, 0)
+        cfg = LrtcConfig(k_init=10, lam=8.0, spec=spec.reg, rng_seed=0)
+        rep = bcde_solve(data, mask, cfg)
+        assert (rep.converged, rep.stop_reason) == (True, "tol")
+        assert rep.iterations < 300
+        assert np.all(np.diff(rep.objective_trace) <= 0.0)
+        mags = component_magnitudes(rep.factors)
+        assert reg_value(rep.factors, spec.reg) == pytest.approx(np.sum(mags ** (1 / 3)), rel=1e-10)
+        final = objective(data, mask, rep.factors, 8.0, spec.reg)
+        assert final == pytest.approx(rep.objective_trace[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 6), (5, 6, 4), (4, 3, 5, 3)])
+    def test_cached_mode0_khatri_rao_follows_rebalancing(self, shape, monkeypatch):
+        # every mode-0 block call gets the Khatri-Rao matrix of the factors
+        # the sweep starts from, rescaled or pruned as they were
+        rng = np.random.default_rng(len(shape))
+        data = rng.standard_normal(shape)
+        mask = sample_mask(shape, 0.4, seed=len(shape))
+        curvature, block_grad = _MaskedLoss.curvature, _MaskedLoss.block_grad
+        start, checked = [], []
+
+        def recording_curvature(factors, mode, sqrt_fraction, rho):
+            if mode == 0:
+                start[:] = [f.copy() for f in factors]
+            return curvature(factors, mode, sqrt_fraction, rho)
+
+        def checking_block_grad(self, x, kr, mode):
+            if mode == 0:
+                want = khatri_rao(start, skip=0)
+                assert np.allclose(kr, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                assert kr.flags.c_contiguous
+                checked.append(None)
+            return block_grad(self, x, kr, mode)
+
+        monkeypatch.setattr(_MaskedLoss, "curvature", staticmethod(recording_curvature))
+        monkeypatch.setattr(_MaskedLoss, "block_grad", checking_block_grad)
+        cfg = LrtcConfig(k_init=4, lam=0.3, spec=sym_spec(len(shape), 1.0 / len(shape)), t_max=40)
+        rep = bcde_solve(data, mask, cfg)
+        assert len(checked) >= rep.iterations > 5
+
+    def test_no_rebalancing_without_penalty(self, monkeypatch):
+        data, mask = rank_one_problem((6, 6, 6), 19)
+        monkeypatch.setattr(lrtc, "_balancer", lambda terms: None)
+        cfg = LrtcConfig(k_init=2, lam=0.0, spec=sym_spec(3, 1.0 / 3.0), t_max=20)
+        assert bcde_solve(data, mask, cfg).iterations == 20
+
+    def test_safeguard_cap_stops_at_the_last_accepted_iterate(self, monkeypatch):
+        # from the fourth sweep on every candidate's loss reads higher than
+        # the objective: the retries double the curvature up to the cap,
+        # and the solve returns the third sweep's iterate
+        rng = np.random.default_rng(20)
+        data = rng.standard_normal((5, 6, 4))
+        mask = sample_mask((5, 6, 4), 0.4, seed=20)
+        cfg = LrtcConfig(k_init=3, lam=0.1, spec=sym_spec(3, 1.0 / 3.0), t_max=50, conv_tol=0.0)
+        want = bcde_solve(data, mask, LrtcConfig(**{**cfg.__dict__, "t_max": 3}))
+        value = _MaskedLoss.value
+        calls = []
+
+        def rising(self, factors, kr=None):
+            calls.append(None)
+            return value(self, factors, kr) + (1e6 if len(calls) > 4 else 0.0)
+
+        monkeypatch.setattr(_MaskedLoss, "value", rising)
+        rep = bcde_solve(data, mask, cfg)
+        assert (rep.stop_reason, rep.converged, rep.iterations) == ("safeguard_cap", False, 3)
+        assert len(calls) == 4 + 53
+        assert rep.objective_trace == want.objective_trace
+        assert all(np.array_equal(a, b) for a, b in zip(rep.factors, want.factors))
+
+    def test_stop_reasons(self):
+        data, mask = rank_one_problem((5, 5, 5), 13)
+        for solver in ("bcde", "qn"):
+            cfg = LrtcConfig(k_init=4, lam=0.1, spec=sym_spec(3, 1.0 / 3.0), solver=solver,
+                             t_max=3, conv_tol=0.0)
+            rep = solve(data, mask, cfg)
+            assert (rep.iterations, rep.converged, rep.stop_reason) == (3, False, "t_max")
+            cfg = LrtcConfig(k_init=4, lam=1e6, spec=sym_spec(3, 1.0 / 3.0), solver=solver,
+                             t_max=50)
+            rep = solve(data, mask, cfg)
+            assert (rep.final_rank, rep.converged, rep.stop_reason) == (0, True, "rank_zero")
 
 
 class TestQuasiNewtonSolve:

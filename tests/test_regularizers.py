@@ -11,6 +11,7 @@ from scipy import optimize
 from tensorenr.core import cp_reconstruct
 from tensorenr.regularizers import (
     RegularizerSpec,
+    _balancer,
     _prox_radial,
     balance_factors,
     component_magnitudes,
@@ -245,6 +246,76 @@ class TestBalanceFactors:
     def test_empty_factor_set(self):
         g = balance_factors([np.zeros((3, 0)), np.zeros((4, 0)), np.zeros((5, 0))])
         assert all(m.shape[1] == 0 for m in g)
+
+
+def _spec_of(kind, d, param):
+    if kind == "sym":
+        return RegularizerSpec("sym", d, p=param)
+    if kind == "asym_a":
+        return RegularizerSpec("asym_a", d, q=1.0 / param)
+    if kind == "asym_b":
+        return RegularizerSpec("asym_b", d, q=2.0 / param)
+    return RegularizerSpec("table2", 3, variant=param)
+
+
+@st.composite
+def balancing_cases(draw):
+    kind = draw(st.sampled_from(["sym", "asym_a", "asym_b", "table2"]))
+    d = 3 if kind == "table2" else draw(st.integers(2, 5))
+    param = {
+        "sym": st.floats(0.05, 1.0),
+        "asym_a": st.integers(1, 4),
+        "asym_b": st.integers(1, 6),
+        "table2": st.sampled_from(["s12", "s25", "s37"]),
+    }[kind]
+    spec = _spec_of(kind, d, draw(param))
+    k = draw(st.integers(1, 4))
+    log_norms = draw(st.lists(st.floats(-4.0, 4.0), min_size=d * k, max_size=d * k))
+    return spec, np.exp(np.reshape(log_norms, (d, k))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(balancing_cases())
+def test_balancer_minimizes_every_family(case):
+    # the scales keep CP(F) and lower R(F) to its minimum over rescalings,
+    # which the leading constants make sum_i |lambda_i|^p; no rescaling
+    # with a product of 1 does better
+    spec, norms, seed = case
+    rng = np.random.default_rng(seed)
+    d, k = norms.shape
+    f = factors_with_norms(rng, (3, 4, 2, 3, 2)[:d], norms)
+    terms = spec.mode_terms()
+    scales = _balancer(terms)(norms)
+    assert np.allclose(np.prod(scales, axis=0), 1.0, rtol=1e-12, atol=0.0)
+    g = [m * s for m, s in zip(f, scales)]
+    t0, t1 = cp_reconstruct(f), cp_reconstruct(g)
+    assert np.linalg.norm(t1 - t0) <= 1e-12 * np.linalg.norm(t0)
+    best = reg_value(g, spec)
+    assert best <= reg_value(f, spec) * (1.0 + 1e-12)
+    if spec.kind != "sym" or terms[0][1] == spec.p * d:
+        mags = np.prod(norms, axis=0)
+        assert best == pytest.approx(float(np.sum(mags**spec.effective_p)), rel=1e-10)
+    for _ in range(8):
+        shift = rng.standard_normal((d, k)) * 10.0 ** rng.uniform(-6.0, 0.5)
+        shift -= shift.mean(axis=0)
+        moved = [m * np.exp(s) for m, s in zip(g, shift)]
+        assert reg_value(moved, spec) >= best * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: prox_irls(np.ones((2, 2)), 0.5, math.nan),
+        lambda: prox_group_soft(np.ones((2, 2)), math.nan),
+        lambda: soft_threshold_elem(np.ones(3), math.nan),
+        lambda: prox_ridge_scale(np.ones((2, 2)), 1.0, math.nan),
+        lambda: prox_ridge_scale(np.ones((2, 2)), math.nan, 1.0),
+    ],
+    ids=["prox_irls", "prox_group_soft", "soft_threshold_elem", "ridge_lam", "ridge_lipschitz"],
+)
+def test_prox_functions_reject_nan_penalties(call):
+    with pytest.raises(ValueError, match="nan"):
+        call()
 
 
 class TestProxGroupSoft:

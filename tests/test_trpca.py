@@ -638,3 +638,22 @@ def test_stops_at_first_small_change(solver):
         rep, sparse = trpca_solve(data, TrpcaConfig(t_max=n, conv_tol=tol, **base))
         assert (rep.iterations, rep.converged) == (first, True)
         assert np.array_equal(sparse, states[first][1])
+
+
+@pytest.mark.parametrize("solver", ["admm", "asym", "als"])
+def test_report_names_its_stop(solver):
+    shape = (5, 6, 7)
+    data = clean_rank_one(shape, 27)
+    base = dict(k_init=2, lam_x=0.05, lam_e=0.5, solver=solver, **SOLVER_ARGS[solver])
+    rep, _ = trpca_solve(data, TrpcaConfig(t_max=3, conv_tol=0.0, **base))
+    assert (rep.iterations, rep.converged, rep.stop_reason) == (3, False, "t_max")
+    rep, _ = trpca_solve(data, TrpcaConfig(t_max=500, conv_tol=1e-3, **base))
+    assert rep.iterations < 500
+    assert (rep.converged, rep.stop_reason) == (True, "tol")
+
+
+def test_report_names_rank_zero():
+    data = clean_rank_one((5, 6, 7), 28)
+    cfg = TrpcaConfig(k_init=2, lam_x=1e6, lam_e=0.5, solver="admm", spec=SYM_E1, t_max=50)
+    rep, _ = trpca_solve(data, cfg)
+    assert (rep.final_rank, rep.converged, rep.stop_reason) == (0, True, "rank_zero")
