@@ -9,8 +9,9 @@ Each tree runs in its own child process on:
 
 * the acceptance gate's desk instances (30x30x30, rank 5, k_init 10,
   noise 0.1) for seeds 0 and 1 and solvers bcde and qn: the c5 cell
-  (missing rate 0.7, ``sym:p=0.3333``, lambda 8) and the c6 power-one
-  cell (missing rate 0.9, ``sym:p=1``, lambda 0.2);
+  (missing rate 0.7, ``sym:p=0.3333``, lambda 8), the same instance
+  unregularized (lambda 0, where both solvers skip penalty work) and the
+  c6 power-one cell (missing rate 0.9, ``sym:p=1``, lambda 0.2);
 * the c5 and c6 ``run_experiment(spec, timing=False)`` CSVs (both c5
   studies, both c6 arms, ten seeds each);
 * one 100x100x100 BCDE cell (missing rate 0.9, ``sym:p=0.3333``, lambda
@@ -41,6 +42,7 @@ DESK = dict(task="lrtc", shape=(30, 30, 30), true_rank=5, k_init=10, noise_level
             solver="bcde", seeds=tuple(range(10)))
 CELLS = {
     "c5": (dict(missing_rate=0.7, reg="sym:p=0.3333"), 8.0),
+    "c5 plain": (dict(missing_rate=0.7, reg="sym:p=0.3333"), 0.0),
     "c6 p=1": (dict(missing_rate=0.9, reg="sym:p=1"), 0.2),
 }
 CSVS = {

@@ -209,25 +209,34 @@ def _check_report(report):
         raise NumericFailure("solver produced non-finite values")
 
 
+def _numbers(kind):
+    return lambda text: tuple(kind(v) for v in text.split(",") if v)
+
+
+# Each config key: the ExperimentSpec field it sets and its parser. A key
+# left out of the config leaves the field at its default; ``out`` names
+# the CSV file and sets no field.
 _SWEEP_KEYS = {
-    "task": str,
-    "shape": _parse_shape,
-    "rank": int,
-    "noise": float,
-    "missing_rate": float,
-    "density": float,
-    "weights": str,
-    "corruption": str,
-    "k": int,
-    "reg": str,
-    "solver": str,
-    "lambda_e": float,
-    "q": float,
-    "tmax": int,
-    "rho": float,
-    "delta": float,
-    "mu": float,
-    "out": str,
+    "task": ("task", str),
+    "shape": ("shape", _parse_shape),
+    "rank": ("true_rank", int),
+    "noise": ("noise_level", float),
+    "missing_rate": ("missing_rate", float),
+    "density": ("sparse_density", float),
+    "weights": ("weights_mode", str),
+    "corruption": ("corruption", str),
+    "k": ("k_init", int),
+    "reg": ("reg", str),
+    "solver": ("solver", str),
+    "seeds": ("seeds", _numbers(int)),
+    "lambdas": ("lambdas", _numbers(float)),
+    "lambda_e": ("lambda_e", float),
+    "q": ("q", float),
+    "tmax": ("t_max", int),
+    "rho": ("rho", float),
+    "delta": ("delta", float),
+    "mu": ("mu", float),
+    "out": (None, str),
 }
 
 
@@ -243,16 +252,12 @@ def parse_sweep_config(text):
             raise UsageError(f"line {lineno}: expected key=value, got {raw!r}")
         key = key.strip()
         val = val.strip()
-        if key == "seeds":
-            values[key] = tuple(int(v) for v in val.split(",") if v)
-        elif key == "lambdas":
-            values[key] = tuple(float(v) for v in val.split(",") if v)
-        elif key == "lambda_grid":
+        if key == "lambda_grid":
             lo, hi, num = val.split(":")
             values["lambdas"] = tuple(np.geomspace(float(lo), float(hi), int(num)))
         elif key in _SWEEP_KEYS:
             try:
-                values[key] = _SWEEP_KEYS[key](val)
+                values[key] = _SWEEP_KEYS[key][1](val)
             except ValueError as exc:
                 raise UsageError(f"line {lineno}: bad value for {key}: {val!r}") from exc
         else:
@@ -269,29 +274,10 @@ def _cmd_sweep(args):
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
     values = parse_sweep_config(text)
-    out = args.out if args.out is not None else values.pop("out", None)
-    values.pop("out", None)
-    spec = ExperimentSpec(
-        task=values["task"],
-        shape=values["shape"],
-        true_rank=values["rank"],
-        noise_level=values.get("noise", 0.1),
-        missing_rate=values.get("missing_rate", 0.0),
-        sparse_density=values.get("density", 0.0),
-        weights_mode=values.get("weights"),
-        corruption=values.get("corruption", "additive"),
-        k_init=values.get("k"),
-        reg=values.get("reg"),
-        solver=values.get("solver"),
-        seeds=values.get("seeds", (0,)),
-        lambdas=values.get("lambdas"),
-        lambda_e=values.get("lambda_e", 0.1),
-        q=values.get("q"),
-        t_max=values.get("tmax", 500),
-        rho=values.get("rho", 1.0),
-        delta=values.get("delta", 0.95),
-        mu=values.get("mu", 10.0),
-    )
+    out = values.pop("out", None)
+    if args.out is not None:
+        out = args.out
+    spec = ExperimentSpec(**{_SWEEP_KEYS[key][0]: val for key, val in values.items()})
     csv_text = run_experiment(spec, out_path=out)
     if out is None:
         sys.stdout.write(csv_text)

@@ -273,6 +273,13 @@ def sample_mask(shape, missing_rate, seed):
     Sampling runs a partial Fisher-Yates shuffle over linear offsets, so
     memory is proportional to the number of observed entries rather than
     the tensor size. Deterministic for a fixed seed.
+
+    Step i of the shuffle swaps positions i and j_i >= i and outputs the
+    value at j_i: j_i itself, unless an earlier step targeted j_i, and
+    then the value the latest such step moved there. All steps are
+    replayed at once, with the latest earlier step per target taken from
+    a stable sort by target and the chains of moved values resolved by
+    pointer jumping, so the mask equals the one-step-at-a-time loop's.
     """
     shape = check_shape(shape)
     if not 0.0 <= missing_rate < 1.0:
@@ -284,10 +291,31 @@ def sample_mask(shape, missing_rate, seed):
     rng = np.random.default_rng(seed)
     positions = np.arange(m, dtype=np.int64)
     draws = positions + np.floor(rng.random(m) * (total - positions)).astype(np.int64)
-    swapped = {}
-    out = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        j = int(draws[i])
-        out[i] = swapped.get(j, j)
-        swapped[j] = swapped.get(i, i)
+    # steps grouped by target, in step order within each group
+    order = np.argsort(draws, kind="stable")
+    targets = draws[order]
+    same = targets[1:] == targets[:-1]
+    # the latest earlier step with the same target as step i, or -1
+    before = np.full(m, -1, dtype=np.int64)
+    before[order[1:][same]] = order[:-1][same]
+    # Step t moves position t's value, which is that of the latest step
+    # that targeted t before, or t itself if none did. Steps target only
+    # positions at or after themselves, so the latest step of all that
+    # targets t is t itself or an earlier one; a step that targets itself
+    # is never read back (later steps target later positions), so linking
+    # t to that latest step, itself included, is exact where it is read.
+    # Pointer jumping follows the links to a step linked to itself, which
+    # moved its own index.
+    group_end = np.ones(m, dtype=bool)
+    group_end[:-1] = ~same
+    ends = order[group_end]
+    ends = ends[draws[ends] < m]
+    link = positions.copy()
+    link[draws[ends]] = ends
+    while True:
+        jumped = link[link]
+        if np.array_equal(jumped, link):
+            break
+        link = jumped
+    out = np.where(before < 0, draws, link[before])
     return ObservationMask(shape, np.sort(out))

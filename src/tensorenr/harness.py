@@ -9,10 +9,12 @@ process that dies, are caught and recorded in the row's error column.
 The (lambda, seed) cells of a grid are independent solves, so
 `run_experiment` runs them on a process pool of min(os.cpu_count(),
 number of cells) workers and writes the rows in grid order. The workers
-are forked ("fork" context), so they skip re-importing numpy and scipy
-and see the caller's monkeypatches; forkserver, the Linux default from
-Python 3.14, would give neither. Each row's seconds are the cell's wall
-time inside its worker. Workers inherit the caller's BLAS thread setting.
+are forked ("fork" context), so they inherit the caller's loaded modules
+and monkeypatches; forkserver, the Linux default from Python 3.14, would
+give neither. For robust PCA the caller loads ``scipy.linalg`` (which
+the package otherwise leaves unimported) before forking, so no worker
+imports it again. Each row's seconds are the cell's wall time inside its
+worker. Workers inherit the caller's BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .core import cp_reconstruct, sample_mask
 from .lrtc import LrtcConfig, solve as lrtc_solve
 from .regularizers import RegularizerSpec
-from .trpca import TrpcaConfig, trpca_solve
+from .trpca import TrpcaConfig, _lapack, trpca_solve
 
 CSV_COLUMNS = (
     "task,kind,seed,lambda,p_effective,rate,rel_error,rel_error_std,"
@@ -328,11 +330,13 @@ def run_experiment(spec, timing=True, out_path=None):
     the rows are written in grid order whatever order the cells finish in.
     The workers are forked from the caller (the ``"fork"`` context, not
     the platform default, which is forkserver on Linux from Python 3.14):
-    a forked worker starts without importing numpy and scipy afresh and
-    runs the caller's bindings, monkeypatches included. Workers inherit
-    the caller's BLAS thread setting and do not pin it, which would need
-    threadpoolctl (not a dependency) or ctypes calls into the BLAS
-    library; set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable)
+    a forked worker starts with the caller's imported modules and runs
+    the caller's bindings, monkeypatches included. For a robust-PCA spec
+    the caller first loads the LAPACK routines of ``scipy.linalg``, so the
+    workers inherit them instead of each importing the module. Workers
+    inherit the caller's BLAS thread setting and do not pin it, which
+    would need threadpoolctl (not a dependency) or ctypes calls into the
+    BLAS library; set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable)
     before numpy loads to give each worker one BLAS thread.
 
     The seconds column is each cell's wall time measured inside its
@@ -346,6 +350,8 @@ def run_experiment(spec, timing=True, out_path=None):
     p_eff = spec.reg.effective_p if spec.reg is not None else None
     cells = [(lam, seed) for lam in spec.lambda_values() for seed in spec.seeds]
     workers = min(os.cpu_count() or 1, len(cells))
+    if spec.task == "trpca":
+        _lapack()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [_submit(pool, spec, seed, lam, timing) for lam, seed in cells]

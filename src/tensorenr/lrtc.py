@@ -117,7 +117,10 @@ class SolveReport:
     largest curvature multiplier; the last accepted iterate is returned,
     and ``iterations`` counts the accepted sweeps)
     or ``line_search_fail`` (no L-BFGS step decreased the objective).
-    ``converged`` holds for the first two.
+    ``converged`` holds for the first two. ``evaluations`` counts the
+    objective evaluations, the initial point's included: BCDE's safeguard
+    retries and L-BFGS's line-search trials and pruning restarts each add
+    one, so it can exceed ``iterations + 1``.
     """
 
     recovered: np.ndarray
@@ -130,6 +133,7 @@ class SolveReport:
     rank_trace: list = field(default_factory=list)
     time_trace: list = field(default_factory=list)
     stop_reason: str = "t_max"
+    evaluations: int = 0
 
     def trace_csv(self):
         """Per-iteration trace as CSV text with header iter,objective,rank,seconds."""
@@ -154,7 +158,7 @@ class _Run:
         self.rank.append(rank)
         self.seconds.append(time.perf_counter() - self.start if self.seconds else 0.0)
 
-    def report(self, factors, shape, iterations, stop_reason):
+    def report(self, factors, shape, iterations, stop_reason, evaluations):
         k = factors[0].shape[1]
         return SolveReport(
             recovered=cp_reconstruct(factors) if k else np.zeros(shape),
@@ -167,6 +171,7 @@ class _Run:
             rank_trace=self.rank,
             time_trace=self.seconds,
             stop_reason=stop_reason,
+            evaluations=evaluations,
         )
 
 
@@ -411,6 +416,7 @@ def bcde_solve(data, mask, config):
     # next sweep's mode-0 block (and its safeguard retries) unchanged
     kr0 = khatri_rao(factors, skip=0)
     obj = loss.value(factors, kr0) + lam * reg_value(factors, spec)
+    evaluations = 1
     run.record(obj, k)
     l_prev = [None] * ndim
     l_curr = [None] * ndim
@@ -441,6 +447,7 @@ def bcde_solve(data, mask, config):
             norms = np.sqrt([np.add.reduce(f * f, axis=0) for f in fac])
             fit = loss.value(fac, cand_kr0)
             cand = fit + lam * reg_value(fac, spec, norms)
+            evaluations += 1
             if cand <= obj or mult >= _SAFEGUARD_CAP:
                 break
             # Objective went up: retry the sweep with doubled curvature
@@ -475,7 +482,7 @@ def bcde_solve(data, mask, config):
             break
         obj = cand
 
-    return run.report(factors, d.shape, iterations, stop_reason)
+    return run.report(factors, d.shape, iterations, stop_reason, evaluations)
 
 
 def _reg_grad_mode(x, term):
@@ -486,20 +493,20 @@ def _reg_grad_mode(x, term):
     return coeff * exponent * (x * colw)
 
 
-def _two_loop(grad, s_hist, y_hist):
-    """L-BFGS two-loop recursion; returns the search direction."""
-    if not s_hist:
+def _two_loop(grad, pairs):
+    """L-BFGS two-loop recursion; returns the search direction. `pairs`
+    holds the accepted (s, y, 1/(s.y), s.y/(y.y)), oldest first, with the
+    scalars computed once when the pair was stored."""
+    if not pairs:
         return -grad
     q = grad.copy()
     alphas = []
-    rhos = [1.0 / float(s @ y) for s, y in zip(s_hist, y_hist)]
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rhos)):
+    for s, y, rho, _ in reversed(pairs):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-    r = gamma * q
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rhos), reversed(alphas)):
+    r = pairs[-1][3] * q
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ r)
         r += s * (a - b)
     return -r
@@ -533,18 +540,24 @@ def quasi_newton_solve(data, mask, config):
     # the point of the last loss evaluation and its mode-0 Khatri-Rao
     # matrix: every gradient is taken at the point just evaluated
     last = [None, None]
+    evaluations = 0
 
     def fun(x, rank):
+        nonlocal evaluations
+        evaluations += 1
         fac = unpack(x, rank)
         last[:] = x, khatri_rao(fac, skip=0)
         return loss.value(fac, last[1]) + lam * reg_value(fac, spec)
 
+    def block(fac, j, kr):
+        g = loss.block_grad(fac[j], kr, j)
+        # at lam == 0 the penalty term only adds zeros
+        return (g + lam * _reg_grad_mode(fac[j], terms[j]) if lam else g).ravel()
+
     def grad(x, rank):
         fac = unpack(x, rank)
         return np.concatenate([
-            (loss.block_grad(fac[j], last[1] if j == 0 and last[0] is x
-                             else khatri_rao(fac, skip=j), j)
-             + lam * _reg_grad_mode(fac[j], terms[j])).ravel()
+            block(fac, j, last[1] if j == 0 and last[0] is x else khatri_rao(fac, skip=j))
             for j in range(ndim)
         ])
 
@@ -564,16 +577,16 @@ def quasi_newton_solve(data, mask, config):
     f = fun(x, k)
     g = grad(x, k)
     run.record(f, k)
-    s_hist, y_hist = [], []
+    pairs = []
     stop_reason = "t_max"
     iterations = 0
 
     for t in range(1, config.t_max + 1):
         iterations = t
-        p = _two_loop(g, s_hist, y_hist)
+        p = _two_loop(g, pairs)
         if float(p @ g) >= 0.0:
             p = -g
-        step0 = 1.0 if s_hist else 1.0 / max(1.0, float(np.linalg.norm(g)))
+        step0 = 1.0 if pairs else 1.0 / max(1.0, float(np.linalg.norm(g)))
         xn, fn = armijo(x, k, f, g, p, step0)
         if xn is None and not np.array_equal(p, -g):
             p = -g
@@ -586,11 +599,9 @@ def quasi_newton_solve(data, mask, config):
         yv = gn - g
         sy = float(s @ yv)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            s_hist.append(s)
-            y_hist.append(yv)
-            if len(s_hist) > config.qn_memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            pairs.append((s, yv, 1.0 / sy, sy / float(yv @ yv)))
+            if len(pairs) > config.qn_memory:
+                pairs.pop(0)
         f_before = f
         x, f, g = xn, fn, gn
 
@@ -602,7 +613,7 @@ def quasi_newton_solve(data, mask, config):
             factors = [fct[:, keep] for fct in factors]
             k = factors[0].shape[1]
             x = pack(factors)
-            s_hist, y_hist = [], []
+            pairs = []
             f = fun(x, k)
             g = grad(x, k)
 
@@ -611,7 +622,7 @@ def quasi_newton_solve(data, mask, config):
             stop_reason = "rank_zero" if k == 0 else "tol"
             break
 
-    return run.report(unpack(x, k), dims, iterations, stop_reason)
+    return run.report(unpack(x, k), dims, iterations, stop_reason, evaluations)
 
 
 def solve(data, mask, config):

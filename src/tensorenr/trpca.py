@@ -35,11 +35,11 @@ CP(F) once (twice when it prunes).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .core import khatri_rao, kr_gram, mttkrp, validate_factors
 from .lrtc import _Run, init_factors
@@ -95,8 +95,19 @@ def _check_data(data):
     return d
 
 
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-_NRM2 = get_blas_funcs("nrm2", dtype=np.float64)
+@functools.cache
+def _lapack():
+    """The float64 ``(potrf, potrs, nrm2)`` routines, from ``scipy.linalg``.
+
+    The module is imported on the first call, not with this one: only
+    robust PCA needs it, and it holds about 8 MB in every process that
+    imports it. ``harness.run_experiment`` calls this before it forks
+    robust-PCA workers, so they inherit the loaded module.
+    """
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
+
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+    return potrf, potrs, get_blas_funcs("nrm2", dtype=np.float64)
 
 
 def _solve_right(gram, rhs):
@@ -112,10 +123,11 @@ def _solve_right(gram, rhs):
         raise ValueError("array must not contain infs or NaNs")
     if rhs.size == 0:
         return np.zeros(rhs.shape)
-    factor, info = _POTRF(gram, lower=False, overwrite_a=False, clean=False)
+    potrf, potrs, _ = _lapack()
+    factor, info = potrf(gram, lower=False, overwrite_a=False, clean=False)
     if info > 0:
         return np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
-    return _POTRS(factor, rhs.T, lower=False, overwrite_b=False)[0].T
+    return potrs(factor, rhs.T, lower=False, overwrite_b=False)[0].T
 
 
 def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
@@ -156,10 +168,16 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
 def _x_update(target, factors, aux, dual, mode, mu):
     """:func:`trpca_x_update` without its checks, for the C-ordered target
     D - E that a sweep forms once for all its mode updates."""
+    return _block_solve(factors, mode, mu, mttkrp(target, factors, mode) + mu * aux + dual)
+
+
+def _block_solve(factors, mode, ridge, rhs):
+    """X = rhs @ (KR^T KR + ridge*I)^{-1}, for the Khatri-Rao matrix KR of
+    the modes other than `mode`: the normal equations of every mode update."""
     k = factors[0].shape[1]
     gram = kr_gram(factors, mode)
-    gram.flat[:: k + 1] += mu
-    return _solve_right(gram, mttkrp(target, factors, mode) + mu * aux + dual)
+    gram.flat[:: k + 1] += ridge
+    return _solve_right(gram, rhs)
 
 
 def _fit(data, factors):
@@ -184,11 +202,8 @@ def _objective(fit, factors, sparse, terms, lam_x, lam_e):
 def _ridge_updates(target, factors, modes, ridge):
     """Replace factors[j], for each j in `modes` in turn, by the exact
     minimizer of 0.5*||target_(j) - X @ KR^T||^2 + 0.5*ridge*||X||^2."""
-    k = factors[0].shape[1]
     for j in modes:
-        gram = kr_gram(factors, j)
-        gram.flat[:: k + 1] += ridge
-        factors[j] = _solve_right(gram, mttkrp(target, factors, j))
+        factors[j] = _block_solve(factors, j, ridge, mttkrp(target, factors, j))
 
 
 def _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu):
@@ -222,7 +237,8 @@ def _als_sweep(data, sparse, factors, lam_x):
 
 
 def _relative_change(new, old):
-    return _NRM2((new - old).ravel()) / max(1.0, _NRM2(old.ravel()))
+    nrm2 = _lapack()[2]
+    return nrm2((new - old).ravel()) / max(1.0, nrm2(old.ravel()))
 
 
 def _require_sym_exponent(spec, target, solver_name):
@@ -288,7 +304,9 @@ def _drive(data, config, split, terms, sweep):
             stop_reason = "rank_zero" if k == 0 else "tol"
             break
 
-    return run.report(factors, data.shape, iterations, stop_reason), sparse
+    # every objective evaluation is a recorded point
+    evaluations = len(run.objective)
+    return run.report(factors, data.shape, iterations, stop_reason, evaluations), sparse
 
 
 def trpca_admm_solve(data, config):

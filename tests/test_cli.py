@@ -289,6 +289,25 @@ class TestSweepCommand:
     def test_config_file_absent(self, tmp_path):
         assert run_cli("sweep", str(tmp_path / "none.cfg")) == 1
 
+    @pytest.mark.parametrize("task", ["lrtc", "trpca"])
+    def test_absent_keys_take_the_spec_defaults(self, tmp_path, task):
+        # a config that leaves every optional key out runs the same
+        # experiment as one that spells out the documented defaults
+        least = f"task={task}\nshape=5x4x3\nrank=1\nseeds=0,1\nlambdas=0,0.5\n"
+        spelled = least + (
+            "noise=0.1\nmissing_rate=0.0\ndensity=0.0\ncorruption=additive\n"
+            "lambda_e=0.1\ntmax=500\nrho=1.0\ndelta=0.95\nmu=10.0\n"
+        )
+        csvs = []
+        for name, text in (("least", least), ("spelled", spelled)):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("sweep", self.write_config(tmp_path, text), "--out", str(out)) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()]
+            seconds = rows[0].index("seconds")
+            csvs.append([row[:seconds] + row[seconds + 1:] for row in rows])
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0]) == 1 + 2 * 3
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):

@@ -377,6 +377,49 @@ class TestSampleMask:
         b = sample_mask((6, 6, 6), 0.7, seed=42)
         assert np.array_equal(a.linear_indices, b.linear_indices)
 
+    @pytest.mark.parametrize("shape, missing", [((1, 1), 0.6), ((2, 3), 0.95)])
+    def test_nothing_observed(self, shape, missing):
+        assert sample_mask(shape, missing, seed=0).count == 0
+
+
+def _sample_mask_loop(shape, missing_rate, seed):
+    """The partial Fisher-Yates shuffle one step at a time, with a dict of
+    the positions moved so far: the reference for the vectorized replay."""
+    total = math.prod(shape)
+    m = int(round((1.0 - missing_rate) * total))
+    if m >= total:
+        return np.arange(total, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    positions = np.arange(m, dtype=np.int64)
+    draws = positions + np.floor(rng.random(m) * (total - positions)).astype(np.int64)
+    swapped = {}
+    out = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        j = int(draws[i])
+        out[i] = swapped.get(j, j)
+        swapped[j] = swapped.get(i, i)
+    return np.sort(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+    missing=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_mask_equals_the_loop(shape, missing, seed):
+    # small shapes with any rate make long chains of steps that land on
+    # positions an earlier step already moved
+    got = sample_mask(shape, missing, seed).linear_indices
+    assert np.array_equal(got, _sample_mask_loop(shape, missing, seed))
+
+
+@pytest.mark.parametrize("shape, missing", [((30, 30, 30), 0.7), ((100, 100, 100), 0.9)])
+def test_sample_mask_equals_the_loop_at_gate_sizes(shape, missing):
+    for seed in (0, 1):
+        got = sample_mask(shape, missing, seed).linear_indices
+        assert np.array_equal(got, _sample_mask_loop(shape, missing, seed))
+
 
 class TestObservationMask:
     def test_dense_round_trip(self):

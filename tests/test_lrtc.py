@@ -351,16 +351,22 @@ class TestBcdeSolve:
         cfg = LrtcConfig(k_init=3, lam=0.1, spec=sym_spec(3, 1.0 / 3.0), t_max=50, conv_tol=0.0)
         want = bcde_solve(data, mask, LrtcConfig(**{**cfg.__dict__, "t_max": 3}))
         value = _MaskedLoss.value
-        calls = []
+        calls, penalties = [], []
 
         def rising(self, factors, kr=None):
             calls.append(None)
             return value(self, factors, kr) + (1e6 if len(calls) > 4 else 0.0)
 
+        def counting_reg_value(*args):
+            penalties.append(None)
+            return reg_value(*args)
+
         monkeypatch.setattr(_MaskedLoss, "value", rising)
+        monkeypatch.setattr(lrtc, "reg_value", counting_reg_value)
         rep = bcde_solve(data, mask, cfg)
         assert (rep.stop_reason, rep.converged, rep.iterations) == ("safeguard_cap", False, 3)
         assert len(calls) == 4 + 53
+        assert rep.evaluations == len(penalties) == len(calls)
         assert rep.objective_trace == want.objective_trace
         assert all(np.array_equal(a, b) for a, b in zip(rep.factors, want.factors))
 
@@ -375,6 +381,36 @@ class TestBcdeSolve:
                              t_max=50)
             rep = solve(data, mask, cfg)
             assert (rep.final_rank, rep.converged, rep.stop_reason) == (0, True, "rank_zero")
+
+
+@pytest.mark.parametrize("solver, lam", [("bcde", 0.0), ("bcde", 0.5), ("qn", 0.0), ("qn", 0.5)])
+def test_evaluations_count_objective_evaluations(solver, lam, monkeypatch):
+    # every objective evaluation (initial point, BCDE safeguard retries,
+    # L-BFGS line-search trials and pruning restarts) calls reg_value once
+    rng = np.random.default_rng(26)
+    data = rng.standard_normal((6, 5, 4))
+    mask = sample_mask((6, 5, 4), 0.5, seed=26)
+    calls = []
+
+    def counting_reg_value(*args):
+        calls.append(None)
+        return reg_value(*args)
+
+    monkeypatch.setattr(lrtc, "reg_value", counting_reg_value)
+    cfg = LrtcConfig(k_init=4, lam=lam, spec=sym_spec(3, 1.0 / 3.0), solver=solver, t_max=60)
+    rep = solve(data, mask, cfg)
+    assert rep.evaluations == len(calls) >= rep.iterations + 1
+
+
+def test_lbfgs_skips_the_penalty_gradient_at_lambda_zero(monkeypatch):
+    data, mask = rank_one_problem((6, 6, 6), 27)
+    cfg = LrtcConfig(k_init=2, lam=0.0, spec=sym_spec(3, 1.0 / 3.0), solver="qn", t_max=20)
+
+    def unexpected(x, term):
+        raise AssertionError("penalty gradient formed at lambda 0")
+
+    monkeypatch.setattr(lrtc, "_reg_grad_mode", unexpected)
+    assert quasi_newton_solve(data, mask, cfg).iterations > 0
 
 
 class TestQuasiNewtonSolve:

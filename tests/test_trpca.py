@@ -647,9 +647,11 @@ def test_report_names_its_stop(solver):
     base = dict(k_init=2, lam_x=0.05, lam_e=0.5, solver=solver, **SOLVER_ARGS[solver])
     rep, _ = trpca_solve(data, TrpcaConfig(t_max=3, conv_tol=0.0, **base))
     assert (rep.iterations, rep.converged, rep.stop_reason) == (3, False, "t_max")
+    assert rep.evaluations == 4
     rep, _ = trpca_solve(data, TrpcaConfig(t_max=500, conv_tol=1e-3, **base))
     assert rep.iterations < 500
     assert (rep.converged, rep.stop_reason) == (True, "tol")
+    assert rep.evaluations == rep.iterations + 1 == len(rep.objective_trace)
 
 
 def test_report_names_rank_zero():
