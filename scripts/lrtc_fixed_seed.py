@@ -14,9 +14,13 @@ Each tree runs in its own child process on:
   c6 power-one cell (missing rate 0.9, ``sym:p=1``, lambda 0.2);
 * the c5 and c6 ``run_experiment(spec, timing=False)`` CSVs (both c5
   studies, both c6 arms, ten seeds each);
-* one 100x100x100 BCDE cell (missing rate 0.9, ``sym:p=0.3333``, lambda
-  8, seed 0, 100 sweeps), large enough that the masked-loss kernel forms
-  its dense product in several column blocks.
+* one 100x100x100 cell per solver (missing rate 0.9, ``sym:p=0.3333``,
+  lambda 8, seed 0, 100 sweeps or iterations), large enough that the
+  masked-loss kernel forms its dense product in several column blocks
+  and, on two or more CPUs, splits them among threads;
+* the ``run_experiment(spec, timing=False)`` CSVs of that BCDE instance
+  with one cell (seed 0), whose one pool worker has every CPU, and with
+  two cells (seeds 0 and 1), whose two workers share them.
 
 A solver cell is "identical" when factors, ``recovered``, rank and
 objective traces, iteration count and ``converged`` are exactly equal. It
@@ -81,7 +85,12 @@ def dump(path):
     for name, arm in CSVS.items():
         out[f"{name} csv"] = harness.run_experiment(harness.ExperimentSpec(**DESK, **arm),
                                                     timing=False)
-    out["100^3 bcde seed=0 lam=8.0"] = solve_cell(harness.ExperimentSpec(**LARGE), 0, 8.0)
+    for solver in ("bcde", "qn"):
+        spec = harness.ExperimentSpec(**{**LARGE, "solver": solver})
+        out[f"100^3 {solver} seed=0 lam=8.0"] = solve_cell(spec, 0, 8.0)
+    for seeds in ((0,), (0, 1)):
+        spec = harness.ExperimentSpec(**LARGE, seeds=seeds, lambdas=(8.0,))
+        out[f"100^3 csv, {len(seeds)} cell(s)"] = harness.run_experiment(spec, timing=False)
     Path(path).write_bytes(pickle.dumps(out))
 
 

@@ -213,6 +213,14 @@ def _numbers(kind):
     return lambda text: tuple(kind(v) for v in text.split(",") if v)
 
 
+def _lambda_grid(text):
+    """``lo:hi:num``: `num` (at least 1) log-spaced values from lo to hi."""
+    lo, hi, num = text.split(":")
+    if int(num) < 1:
+        raise ValueError(f"a grid needs at least one point, got {num}")
+    return tuple(np.geomspace(float(lo), float(hi), int(num)))
+
+
 # Each config key: the ExperimentSpec field it sets and its parser. A key
 # left out of the config leaves the field at its default; ``out`` names
 # the CSV file and sets no field.
@@ -230,6 +238,7 @@ _SWEEP_KEYS = {
     "solver": ("solver", str),
     "seeds": ("seeds", _numbers(int)),
     "lambdas": ("lambdas", _numbers(float)),
+    "lambda_grid": ("lambdas", _lambda_grid),
     "lambda_e": ("lambda_e", float),
     "q": ("q", float),
     "tmax": ("t_max", int),
@@ -252,16 +261,14 @@ def parse_sweep_config(text):
             raise UsageError(f"line {lineno}: expected key=value, got {raw!r}")
         key = key.strip()
         val = val.strip()
-        if key == "lambda_grid":
-            lo, hi, num = val.split(":")
-            values["lambdas"] = tuple(np.geomspace(float(lo), float(hi), int(num)))
-        elif key in _SWEEP_KEYS:
-            try:
-                values[key] = _SWEEP_KEYS[key][1](val)
-            except ValueError as exc:
-                raise UsageError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-        else:
+        if key not in _SWEEP_KEYS:
             raise UsageError(f"line {lineno}: unknown key {key!r}")
+        try:
+            parsed = _SWEEP_KEYS[key][1](val)
+        except ValueError as exc:
+            raise UsageError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+        # lambda_grid and lambdas set one field: the later line wins
+        values["lambdas" if key == "lambda_grid" else key] = parsed
     if "task" not in values or "shape" not in values or "rank" not in values:
         raise UsageError("sweep config needs at least task, shape and rank")
     return values

@@ -26,15 +26,22 @@ evaluate the masked loss through one kernel built once per call. That
 kernel reads only the observed entries: a solve holds O(observed) data
 and one residual buffer shared by all modes. Each block call forms the
 dense n_j x prod(n_i) product F_j KR^T one cache-sized column block at a
-time and keeps only its observed entries. The block curvature is the
-exact squared spectral norm of the Khatri-Rao matrix, taken from the
-Hadamard product of the other modes' k x k Grams.
+time and keeps only its observed entries. Value and gradient calls cut
+their blocks into runs of at least ``_MIN_RUN`` blocks, one per CPU the
+process may run on (its share of them in a sweep's pool worker), and run
+all but the first on helper threads, with bit-identical results; one-block
+tensors and single-CPU processes run on the calling thread alone. This
+assumes one BLAS thread (``OPENBLAS_NUM_THREADS=1``). The block curvature
+is the exact squared spectral norm of the Khatri-Rao matrix, taken from
+the Hadamard product of the other modes' k x k Grams.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +70,30 @@ _SAFEGUARD_CAP = 2.0**52
 # small enough to stay in a core's L2 cache from the matrix product that
 # writes it to the gather that reads it.
 _BLOCK_BYTES = 2**20
+# Fewest column blocks a thread's run may have: enough to outweigh handing
+# the run to a thread (a round trip of about 45 us against about 0.1 ms per
+# 1 MiB block on 2 vCPUs), and few enough threads that the blocks in
+# flight at once, one per thread, stay a small part of the product the
+# blocking avoids forming.
+_MIN_RUN = 4
+
+
+# Processes that run at once on this process's CPUs: the pool workers of a
+# sweep each take their share (set by `_share_cpus`, the pool initializer).
+_sharers = 1
+
+
+def _cpus():
+    """CPUs a block call may use: those this process may run on, divided
+    among the processes that share them."""
+    return max(1, len(os.sched_getaffinity(0)) // _sharers)
+
+
+def _share_cpus(processes):
+    """Give this process its share of CPUs that `processes` processes use."""
+    global _sharers
+    _sharers = processes
+
 
 
 @dataclass
@@ -207,9 +238,27 @@ class _MaskedLoss:
     row per (block, row) pair, so the block gradient is still one sparse
     product, summed over blocks. A tensor small enough for one block gets
     exactly the unblocked product. Value and block gradient thus take
-    O(observed) memory plus one product block at a time. The block
-    curvature comes from the k x k Hadamard product of the other modes'
-    Grams. Both solvers and the public reference helpers go through it.
+    O(observed) memory plus one product block per thread at a time. The
+    block curvature comes from the k x k Hadamard product of the other
+    modes' Grams. Both solvers and the public reference helpers go
+    through it.
+
+    Each mode's blocks are cut into contiguous runs, one per thread: as
+    many as the CPUs this process may run on, but with at least
+    ``_MIN_RUN`` blocks each, so a tensor with fewer than twice that many
+    blocks per mode keeps one run and runs on the calling thread alone. A
+    block call hands every run but the first to a helper thread and does
+    the first itself. A run forms its blocks' products, gathers their
+    entries into its slice of the buffer and subtracts the data there;
+    for a gradient it also multiplies its own rows of the pattern (a CSR
+    matrix on slices of the buffer and of the pattern's indices) by KR,
+    and the caller stacks the runs' rows and sums them over blocks. Every
+    entry, row and block sum is computed by the same operations on the
+    same operands in the same order whatever the number of runs, so the
+    results are bit-identical to one run. Helper threads call only numpy
+    and scipy. The split assumes one BLAS thread per process
+    (``OPENBLAS_NUM_THREADS=1``): with several, the block threads' matrix
+    products wait for one another, and the split is slower than one run.
     """
 
     def __init__(self, data, mask):
@@ -217,7 +266,8 @@ class _MaskedLoss:
         observed = data[idx]
         self.sqrt_fraction = np.sqrt(mask.count / mask.total)
         self._buf = np.empty(mask.count)
-        self.blocks, self.observed, self.pattern = [], [], []
+        self.pattern, self.runs = [], []
+        cpus = _cpus()
         for j, n in enumerate(mask.shape):
             rest = [i for i in range(len(mask.shape)) if i != j]
             ncols = mask.total // n
@@ -240,42 +290,91 @@ class _MaskedLoss:
             block = block[order]
             # offset in the product block, whose rows are as wide as it is
             offsets = idx[j][order] * np.minimum(width, ncols - block * width) + local[order]
+            pattern = csr_matrix((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
+            self.pattern.append(pattern)
             bounds = indptr[::n].tolist()
             # per non-empty block: its columns, its entries' offsets and
             # their slice of the residual buffer
-            self.blocks.append([
-                (b * width, min((b + 1) * width, ncols), offsets[start:stop], self._buf[start:stop])
+            blocks = {
+                b: (b * width, min((b + 1) * width, ncols), offsets[start:stop],
+                    self._buf[start:stop])
                 for b, (start, stop) in enumerate(zip(bounds, bounds[1:]))
                 if start < stop
+            }
+            data_j = observed[order]
+            # runs of blocks b0:b1, one per thread
+            threads = max(1, min(cpus, nblocks // _MIN_RUN))
+            cuts = [nblocks * r // threads for r in range(threads + 1)]
+            self.runs.append([
+                (
+                    [blocks[b] for b in range(b0, b1) if b in blocks],
+                    data_j[bounds[b0] : bounds[b1]],
+                    self._buf[bounds[b0] : bounds[b1]],
+                    self._rows(pattern, n * b0, n * b1),
+                )
+                for b0, b1 in zip(cuts, cuts[1:])
             ])
-            self.observed.append(observed[order])
-            self.pattern.append(
-                csr_matrix((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
-            )
+        # helper threads for every run but the first, started on first use;
+        # they end when the kernel is freed. A forked child never shares
+        # them: each solve builds its own kernel
+        helpers = max(len(runs) for runs in self.runs) - 1
+        self._pool = ThreadPoolExecutor(helpers) if helpers else None
 
-    def _residual(self, x, kr, mode):
-        """Model minus data at the observed entries, in mode-`mode` order,
-        written into the shared buffer."""
-        for c0, c1, offsets, out in self.blocks[mode]:
+    def _rows(self, pattern, r0, r1):
+        """Rows r0:r1 of `pattern` (`pattern` itself for all of them), as a
+        CSR matrix whose data and indices are slices of the shared buffer
+        and of `pattern`'s indices."""
+        if r1 - r0 == pattern.shape[0]:
+            return pattern
+        lo, hi = pattern.indptr[r0], pattern.indptr[r1]
+        rows = csr_matrix(
+            (self._buf[lo:hi], pattern.indices[lo:hi], pattern.indptr[r0 : r1 + 1] - lo),
+            shape=(r1 - r0, pattern.shape[1]),
+        )
+        # the constructor copies a slice that does not start its array
+        rows.data, rows.indices = self._buf[lo:hi], pattern.indices[lo:hi]
+        return rows
+
+    @staticmethod
+    def _do_run(x, kr, run, grad):
+        """One run of a block call: the residual at its entries, written
+        into its slice of the buffer, and for `grad` its pattern rows times
+        `kr`. Runs on helper threads, so it calls only numpy and scipy."""
+        blocks, observed, out, rows = run
+        for c0, c1, offsets, dest in blocks:
             # the offsets are in range by construction; "clip" lets take
-            # write straight into `out`, where "raise" goes through a copy
-            np.take((x @ kr[c0:c1].T).ravel(), offsets, out=out, mode="clip")
-        self._buf -= self.observed[mode]
-        return self._buf
+            # write straight into `dest`, where "raise" goes through a copy
+            np.take((x @ kr[c0:c1].T).ravel(), offsets, out=dest, mode="clip")
+        out -= observed
+        return rows @ kr if grad else None
+
+    def _call(self, x, kr, mode, grad):
+        """Every run of mode `mode`: the first on this thread, the others
+        on helper threads. Returns the runs' results in order once all are
+        done; the buffer then holds the residual in mode-`mode` order."""
+        runs = self.runs[mode]
+        helpers = [self._pool.submit(self._do_run, x, kr, run, grad) for run in runs[1:]]
+        try:
+            first = self._do_run(x, kr, runs[0], grad)
+        finally:
+            # the buffer is not free for the next call before every run ends
+            for h in helpers:
+                h.exception()
+        return [first] + [h.result() for h in helpers]
 
     def value(self, factors, kr=None):
         """Loss at `factors`; `kr`, when given, is ``khatri_rao(factors, skip=0)``."""
         if kr is None:
             kr = khatri_rao(factors, skip=0)
-        r = self._residual(factors[0], kr, 0)
-        return 0.5 * float(r @ r)
+        self._call(factors[0], kr, 0, grad=False)
+        return 0.5 * float(self._buf @ self._buf)
 
     def block_grad(self, x, kr, mode):
         """Gradient in factor `mode` at value `x`, where `kr` is the
         Khatri-Rao matrix of the other modes: (M_(j) * (x KR^T) - (D*M)_(j)) KR,
         summed over the observed entries only."""
-        self._residual(x, kr, mode)
-        grad = self.pattern[mode] @ kr
+        parts = self._call(x, kr, mode, grad=True)
+        grad = parts[0] if len(parts) == 1 else np.concatenate(parts)
         nblocks = grad.shape[0] // x.shape[0]
         if nblocks > 1:
             grad = grad.reshape(nblocks, x.shape[0], kr.shape[1]).sum(axis=0)

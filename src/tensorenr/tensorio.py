@@ -77,13 +77,19 @@ def write_tensor(path, tensor):
     """Write a dense float64 tensor to `path` in TNSR1 layout."""
     t = np.asarray(tensor, dtype=np.float64)
     shape = check_shape(t.shape)
-    if not np.all(np.isfinite(t)):
+    # a NaN makes the maximum NaN, and an infinity is the maximum or the
+    # minimum: no temporary the size of the tensor
+    if not (np.isfinite(t.max()) and np.isfinite(t.min())):
         raise FormatError("refusing to write non-finite tensor entries")
+    # Fortran order is the order of the last-mode slices, each in Fortran
+    # order: a Fortran-ordered tensor goes out whole as a view, any other
+    # one slice (one copy of 1/n_last of it) at a time
+    pieces = [t] if t.flags.f_contiguous else (t[..., i] for i in range(shape[-1]))
     with open(path, "wb") as fh:
         fh.write(_pack_header(TENSOR_MAGIC, shape))
-        # a view of a Fortran-ordered little-endian tensor, written through
-        # the buffer protocol: no copy of the payload
-        fh.write(np.ravel(t, order="F").astype("<f8", copy=False))
+        for piece in pieces:
+            # little-endian float64, written through the buffer protocol
+            fh.write(np.ravel(piece, order="F").astype("<f8", copy=False))
 
 
 def read_tensor(path):

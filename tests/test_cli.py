@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensorenr import cli
-from tensorenr.cli import main, parse_sweep_config
+from tensorenr.cli import UsageError, main, parse_sweep_config
 from tensorenr.core import ObservationMask
 from tensorenr.tensorio import read_tensor, write_mask, write_tensor
 
@@ -270,6 +270,31 @@ class TestSweepCommand:
         assert len(lams) == 3
         assert lams[0] == pytest.approx(0.1)
         assert lams[-1] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize(
+        "grid", ["0.1:10", "0.1:10:3:4", "low:10:3", "0.1:10:2.5", "0.1:10:0", "0.1:10:-1"]
+    )
+    def test_malformed_lambda_grid_names_its_line(self, grid):
+        # a wrong field count, a non-number or fewer than one point
+        with pytest.raises(UsageError) as info:
+            parse_sweep_config(f"task=lrtc\nshape=4x4x4\nrank=1\nlambda_grid={grid}\n")
+        assert str(info.value) == f"line 4: bad value for lambda_grid: {grid!r}"
+
+    def test_later_lambda_line_wins(self):
+        text = "task=lrtc\nshape=4x4x4\nrank=1\nlambda_grid=0.1:10:3\nlambdas=0.5\n"
+        assert parse_sweep_config(text)["lambdas"] == (0.5,)
+        text = "task=lrtc\nshape=4x4x4\nrank=1\nlambdas=0.5\nlambda_grid=1:1:1\n"
+        assert parse_sweep_config(text)["lambdas"] == (1.0,)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("lambda_grid=0.1:10:0", "line 4: bad value for lambda_grid: '0.1:10:0'"),
+         ("lambdas=", "lambdas must be non-empty")],
+    )
+    def test_empty_lambda_grid_is_a_usage_error(self, tmp_path, capsys, line, message):
+        cfg = self.write_config(tmp_path, f"task=lrtc\nshape=4x4x4\nrank=1\n{line}\n")
+        assert run_cli("sweep", cfg) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_comments_and_blanks_ignored(self):
         values = parse_sweep_config(

@@ -1,4 +1,7 @@
 import os
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -207,6 +210,12 @@ class TestExperimentSpec:
             ExperimentSpec(task="lrtc", shape=(4, 4, 4), true_rank=1, lambdas=(-1.0,))
 
 
+def test_empty_lambda_grid_rejected():
+    # an empty grid has no cell to run; it used to fail inside the pool
+    with pytest.raises(ValueError, match="lambdas must be non-empty"):
+        ExperimentSpec(task="lrtc", shape=(4, 4, 4), true_rank=1, lambdas=())
+
+
 def test_solver_seed_decorrelates_init():
     from tensorenr.lrtc import init_factors
 
@@ -401,6 +410,72 @@ class TestRunExperiment:
         text = run_experiment(self.small_spec(seeds=(0, 1, 2)), timing=False)
         rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
         assert [r[-1] for r in rows] == ["", "", "BrokenProcessPool: pool broke", "1 failed"]
+
+
+    @pytest.mark.parametrize("cells, threads", [(1, 4), (2, 2), (3, 1), (4, 1)])
+    def test_pool_workers_share_the_cpus(self, monkeypatch, cells, threads):
+        # each of min(cpus, cells) workers takes its share of 4 CPUs for the
+        # completion kernel's threads; a cell reports its worker's share
+        import tensorenr.harness as hs
+        from tensorenr import lrtc
+
+        def report(spec, seed, lam, timing=True):
+            raise RuntimeError(f"cpus={lrtc._cpus()}")
+
+        monkeypatch.setattr(hs, "run_single", report)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        text = run_experiment(self.small_spec(seeds=tuple(range(cells))), timing=False)
+        rows = [ln.split(",") for ln in text.strip().splitlines()[1:-1]]
+        assert [r[-1] for r in rows] == [f"RuntimeError: cpus={threads}"] * cells
+        assert lrtc._cpus() == 4
+
+
+# Runs in a child interpreter with the thread count as its argument: cuts
+# a small tensor's unfoldings into enough column blocks for a split, keeps
+# a kernel whose block calls started a helper thread (above one thread)
+# alive in this process, then runs a sweep of split solves on forked
+# workers and prints its CSV.
+FORKED_SPLIT = r"""
+import sys
+import threading
+from tensorenr import harness, lrtc
+
+threads = int(sys.argv[1])
+lrtc._BLOCK_BYTES = 64
+lrtc._cpus = lambda: threads
+spec = harness.ExperimentSpec(task="lrtc", shape=(6, 5, 4), true_rank=2, k_init=3,
+                              missing_rate=0.3, t_max=20, seeds=(0, 1), lambdas=(0.0, 0.5))
+_, data, mask = harness.gen_lrtc_data(spec, 0)
+kept = lrtc._MaskedLoss(data, mask)
+kept.value(lrtc.init_factors(spec.shape, 3, 0))
+assert (threading.active_count() > 1) == (threads > 1)
+sys.stdout.write(harness.run_experiment(spec, timing=False))
+"""
+
+
+def _run_session(script, *args, timeout=120):
+    """Output of `script` in a child interpreter; the child and every process
+    it forked are killed if it has not finished within `timeout` seconds."""
+    proc = subprocess.Popen([sys.executable, "-c", script, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"no answer within {timeout} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+def test_forked_workers_split_without_the_parent_threads():
+    # a worker forked while the parent holds helper threads has none of
+    # them; its solves must use threads of their own, not queue work for
+    # threads that do not exist, and give the answers of one thread
+    split = _run_session(FORKED_SPLIT, "2")
+    assert split == _run_session(FORKED_SPLIT, "1")
+    assert "Error" not in split and len(split.splitlines()) == 7
 
 
 class TestBestLambda:

@@ -725,3 +725,59 @@ def test_masked_loss_reuses_its_buffer_without_aliasing_results():
     assert loss._buf is buf
     for got, want in kept:
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+    k=st.integers(0, 3),
+    missing=st.floats(0.0, 0.95),
+    block_bytes=st.integers(1, 100),
+    threads=st.integers(1, 3),
+    min_run=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_thread_split_is_bit_identical(shape, k, missing, block_bytes, threads, min_run, seed):
+    # small byte budgets cut each unfolding into many column blocks, some
+    # empty, which the split hands out in runs to up to three threads (more
+    # than this machine may have); value, every block gradient and the
+    # residual buffer must keep the bits of one run on the calling thread,
+    # and each run's pattern rows must read the shared buffer and indices
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape)
+    mask = sample_mask(shape, missing, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lrtc, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(lrtc, "_MIN_RUN", min_run)
+        mp.setattr(lrtc, "_cpus", lambda: 1)
+        one = _MaskedLoss(data, mask)
+        mp.setattr(lrtc, "_cpus", lambda: threads)
+        split = _MaskedLoss(data, mask)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    assert split.value(factors) == one.value(factors)
+    assert np.array_equal(split._buf, one._buf)
+    for j, n in enumerate(shape):
+        pattern = split.pattern[j]
+        runs = split.runs[j]
+        assert len(runs) == max(1, min(threads, pattern.shape[0] // n // min_run))
+        assert sum(run[-1].shape[0] for run in runs) == pattern.shape[0]
+        for run in runs:
+            rows = run[-1]
+            if rows.nnz:
+                assert np.shares_memory(rows.data, split._buf)
+                assert np.shares_memory(rows.indices, pattern.indices)
+        kr = khatri_rao(factors, skip=j)
+        got = split.block_grad(factors[j], kr, j)
+        assert np.array_equal(got, one.block_grad(factors[j], kr, j))
+        assert np.array_equal(split._buf, one._buf)
+
+
+def test_thread_split_engages_only_with_enough_blocks(monkeypatch):
+    # 100^3 has eight 1 MiB column blocks per mode, two runs of four on two
+    # CPUs; 80^3 has four, too few to split
+    monkeypatch.setattr(lrtc, "_cpus", lambda: 2)
+    for n, runs in ((100, 2), (80, 1), (30, 1)):
+        shape = (n, n, n)
+        loss = _MaskedLoss(np.zeros(shape), sample_mask(shape, 0.99, seed=0))
+        assert [len(r) for r in loss.runs] == [runs] * 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorenr.core import ObservationMask, sample_mask
+from tensorenr.core import ObservationMask, cp_reconstruct, sample_mask
 from tensorenr.tensorio import (
     FormatError,
     read_mask,
@@ -201,6 +201,36 @@ def test_non_finite_payload_rejected(tmp_path):
     path = tmp_path / "t.tnsr"
     with pytest.raises(FormatError):
         write_tensor(path, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0, 0), (2, 1, 3), (3, 4, 4)])
+def test_any_non_finite_entry_rejected_before_writing(tmp_path, bad, at):
+    t = np.random.default_rng(3).standard_normal((4, 5, 5))[:, ::-1]
+    t[at] = bad
+    path = tmp_path / "t.tnsr"
+    with pytest.raises(FormatError):
+        write_tensor(path, t)
+    assert not path.exists()
+
+
+def test_tensor_write_of_a_cp_reconstruction_copies_slices_only(tmp_path):
+    # cp_reconstruct returns a strided view, neither C- nor Fortran-ordered;
+    # it is written one last-mode slice at a time, with the bytes of its
+    # Fortran-ordered copy
+    rng = np.random.default_rng(9)
+    t = cp_reconstruct([rng.standard_normal((100, 5)) for _ in range(3)])
+    assert not (t.flags.c_contiguous or t.flags.f_contiguous)
+    path = tmp_path / "t.tnsr"
+    tracemalloc.start()
+    try:
+        write_tensor(path, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = _header(b"TNSR", t.shape) + t.astype("<f8").tobytes(order="F")
+    assert path.read_bytes() == want
+    assert peak < 0.05 * t.nbytes
 
 
 def test_unsorted_mask_offsets_rejected(tmp_path):
