@@ -86,7 +86,11 @@ _sharers = 1
 def _cpus():
     """CPUs a block call may use: those this process may run on, divided
     among the processes that share them."""
-    return max(1, len(os.sched_getaffinity(0)) // _sharers)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks (macOS)
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _sharers)
 
 
 def _share_cpus(processes):

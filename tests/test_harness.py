@@ -211,7 +211,7 @@ class TestExperimentSpec:
 
 
 def test_empty_lambda_grid_rejected():
-    # an empty grid has no cell to run; it used to fail inside the pool
+    # an empty grid has no cell to run: refused before any pool starts
     with pytest.raises(ValueError, match="lambdas must be non-empty"):
         ExperimentSpec(task="lrtc", shape=(4, 4, 4), true_rank=1, lambdas=())
 
@@ -410,7 +410,6 @@ class TestRunExperiment:
         text = run_experiment(self.small_spec(seeds=(0, 1, 2)), timing=False)
         rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
         assert [r[-1] for r in rows] == ["", "", "BrokenProcessPool: pool broke", "1 failed"]
-
 
     @pytest.mark.parametrize("cells, threads", [(1, 4), (2, 2), (3, 1), (4, 1)])
     def test_pool_workers_share_the_cpus(self, monkeypatch, cells, threads):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -755,22 +756,28 @@ def test_thread_split_is_bit_identical(shape, k, missing, block_bytes, threads, 
         mp.setattr(lrtc, "_cpus", lambda: threads)
         split = _MaskedLoss(data, mask)
     factors = [rng.standard_normal((n, k)) for n in shape]
-    assert split.value(factors) == one.value(factors)
-    assert np.array_equal(split._buf, one._buf)
-    for j, n in enumerate(shape):
-        pattern = split.pattern[j]
-        runs = split.runs[j]
-        assert len(runs) == max(1, min(threads, pattern.shape[0] // n // min_run))
-        assert sum(run[-1].shape[0] for run in runs) == pattern.shape[0]
-        for run in runs:
-            rows = run[-1]
-            if rows.nnz:
-                assert np.shares_memory(rows.data, split._buf)
-                assert np.shares_memory(rows.indices, pattern.indices)
-        kr = khatri_rao(factors, skip=j)
-        got = split.block_grad(factors[j], kr, j)
-        assert np.array_equal(got, one.block_grad(factors[j], kr, j))
+    # threads switch as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert split.value(factors) == one.value(factors)
         assert np.array_equal(split._buf, one._buf)
+        for j, n in enumerate(shape):
+            pattern = split.pattern[j]
+            runs = split.runs[j]
+            assert len(runs) == max(1, min(threads, pattern.shape[0] // n // min_run))
+            assert sum(run[-1].shape[0] for run in runs) == pattern.shape[0]
+            for run in runs:
+                rows = run[-1]
+                if rows.nnz:
+                    assert np.shares_memory(rows.data, split._buf)
+                    assert np.shares_memory(rows.indices, pattern.indices)
+            kr = khatri_rao(factors, skip=j)
+            got = split.block_grad(factors[j], kr, j)
+            assert np.array_equal(got, one.block_grad(factors[j], kr, j))
+            assert np.array_equal(split._buf, one._buf)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_thread_split_engages_only_with_enough_blocks(monkeypatch):
