@@ -453,7 +453,7 @@ sys.stdout.write(harness.run_experiment(spec, timing=False))
 """
 
 
-def _run_session(script, *args, timeout=120):
+def _run_isolated(script, *args, timeout=120):
     """Output of `script` in a child interpreter; the child and every process
     it forked are killed if it has not finished within `timeout` seconds."""
     proc = subprocess.Popen([sys.executable, "-c", script, *args], stdout=subprocess.PIPE,
@@ -472,8 +472,8 @@ def test_forked_workers_split_without_the_parent_threads():
     # a worker forked while the parent holds helper threads has none of
     # them; its solves must use threads of their own, not queue work for
     # threads that do not exist, and give the answers of one thread
-    split = _run_session(FORKED_SPLIT, "2")
-    assert split == _run_session(FORKED_SPLIT, "1")
+    split = _run_isolated(FORKED_SPLIT, "2")
+    assert split == _run_isolated(FORKED_SPLIT, "1")
     assert "Error" not in split and len(split.splitlines()) == 7
 
 
