@@ -431,10 +431,10 @@ class TestRunExperiment:
 
 
 # Runs in a child interpreter with the thread count as its argument: cuts
-# a small tensor's unfoldings into enough column blocks for a split, keeps
-# a kernel whose block calls started a helper thread (above one thread)
-# alive in this process, then runs a sweep of split solves on forked
-# workers and prints its CSV.
+# a small tensor's unfoldings into enough column blocks for a split, runs
+# one solve and keeps a kernel whose block calls started a helper thread
+# (above one thread) alive in this process, then runs a sweep of split
+# solves on forked workers and prints its CSV.
 FORKED_SPLIT = r"""
 import sys
 import threading
@@ -445,6 +445,7 @@ lrtc._BLOCK_BYTES = 64
 lrtc._cpus = lambda: threads
 spec = harness.ExperimentSpec(task="lrtc", shape=(6, 5, 4), true_rank=2, k_init=3,
                               missing_rate=0.3, t_max=20, seeds=(0, 1), lambdas=(0.0, 0.5))
+harness.run_single(spec, 0, 0.5)
 _, data, mask = harness.gen_lrtc_data(spec, 0)
 kept = lrtc._MaskedLoss(data, mask)
 kept.value(lrtc.init_factors(spec.shape, 3, 0))
