@@ -31,7 +31,7 @@ from .harness import (
 from .lrtc import LrtcConfig, solve as lrtc_solve
 from .regularizers import RegularizerSpec
 from .tensorio import FormatError, read_mask, read_tensor, write_mask, write_tensor
-from .trpca import TrpcaConfig, sparsity_summary, trpca_solve
+from .trpca import TrpcaConfig, solver_for, sparsity_summary, trpca_solve
 
 
 class UsageError(Exception):
@@ -89,7 +89,7 @@ def build_parser():
     trpca.add_argument("--lambda-x", dest="lam_x", type=float, required=True)
     trpca.add_argument("--lambda-e", dest="lam_e", type=float, required=True)
     trpca.add_argument("--mu", type=float, default=10.0)
-    trpca.add_argument("--reg", default=None)
+    trpca.add_argument("--reg", default="sym")
     trpca.add_argument("--q", type=float, default=None)
     trpca.add_argument("--tmax", type=int, default=500)
     trpca.add_argument("--seed", type=int, default=0)
@@ -160,33 +160,16 @@ def _cmd_lrtc(args):
     return 0
 
 
-def _infer_trpca_solver(args, order):
-    if args.q is not None:
-        return "asym", None
-    reg_text = args.reg if args.reg is not None else "sym"
-    reg = RegularizerSpec.parse(reg_text, order)
-    if reg.kind == "asym_b" and 0.0 < reg.q < 1.0:
-        return "asym", reg
-    exponent = reg.mode_terms()[0][1]
-    if exponent == 1.0:
-        return "admm", reg
-    if exponent == 2.0:
-        return "als", reg
-    raise UsageError(
-        f"no robust PCA solver for regularizer {reg.label()}; use a column "
-        "exponent of 1 or 2, an asym_b q in (0,1), or pass --q"
-    )
-
-
 def _cmd_trpca(args):
     data = read_tensor(args.data)
-    solver, reg = _infer_trpca_solver(args, data.ndim)
+    reg = None if args.q is not None else RegularizerSpec.parse(args.reg, data.ndim)
+    solver = "asym" if reg is None else solver_for(reg)
     cfg = TrpcaConfig(
         k_init=args.k,
         lam_x=args.lam_x,
         lam_e=args.lam_e,
         spec=reg,
-        q=args.q if solver == "asym" else None,
+        q=args.q,
         solver=solver,
         mu=args.mu,
         t_max=args.tmax,

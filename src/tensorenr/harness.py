@@ -7,23 +7,23 @@ row per lambda. Runs never abort the batch: failures, including a worker
 process that dies, are caught and recorded in the row's error column.
 
 The (lambda, seed) cells of a grid are independent solves, so
-`run_experiment` runs them on a process pool of min(os.cpu_count(),
-number of cells) workers and writes the rows in grid order. The workers
-are forked ("fork" context), so they inherit the caller's loaded modules
-and monkeypatches; forkserver, the Linux default from Python 3.14, would
-give neither. For robust PCA the caller loads ``scipy.linalg`` (which
-the package otherwise leaves unimported) before forking, so no worker
-imports it again. Each row's seconds are the cell's wall time inside its
-worker. Workers inherit the caller's BLAS thread setting, and each splits
-its completion kernel's block calls among its share of the CPUs (their
-number divided by the number of workers), not among all of them.
+`run_experiment` runs them on a process pool of min(CPUs this process
+may run on, number of cells) workers and writes the rows in grid order.
+The workers are forked ("fork" context), so they inherit the caller's
+loaded modules and monkeypatches; forkserver, the Linux default from
+Python 3.14, would give neither. For robust PCA the caller loads
+``scipy.linalg`` (which the package otherwise leaves unimported) before
+forking, so no worker imports it again. Each row's seconds are the cell's
+wall time inside its worker. Workers inherit the caller's BLAS thread
+setting, and each splits its completion kernel's block calls among its
+share of the CPUs (their number divided by the number of workers), not
+among all of them.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cp_reconstruct, sample_mask
-from .lrtc import LrtcConfig, _share_cpus, solve as lrtc_solve
+from .lrtc import LrtcConfig, _cpus, _share_cpus, solve as lrtc_solve
 from .regularizers import RegularizerSpec
 from .trpca import TrpcaConfig, _lapack, trpca_solve
 
@@ -329,9 +329,11 @@ def run_experiment(spec, timing=True, out_path=None):
     """Run the full (lambda x seed) grid and return the report as CSV text.
 
     The cells run on a ``ProcessPoolExecutor`` created for this call, with
-    min(``os.cpu_count()``, number of cells) workers. Cells are submitted
-    one at a time in grid order, so a free worker takes the next cell, and
-    the rows are written in grid order whatever order the cells finish in.
+    min(CPUs this process may run on, number of cells) workers, counted
+    from the affinity mask by ``lrtc._cpus`` as the completion kernel
+    counts them. Cells are submitted one at a time in grid order, so a
+    free worker takes the next cell, and the rows are written in grid
+    order whatever order the cells finish in.
     The workers are forked from the caller (the ``"fork"`` context, not
     the platform default, which is forkserver on Linux from Python 3.14):
     a forked worker starts with the caller's imported modules and runs
@@ -358,7 +360,7 @@ def run_experiment(spec, timing=True, out_path=None):
     rate = spec.missing_rate if spec.task == "lrtc" else spec.sparse_density
     p_eff = spec.reg.effective_p if spec.reg is not None else None
     cells = [(lam, seed) for lam in spec.lambda_values() for seed in spec.seeds]
-    workers = min(os.cpu_count() or 1, len(cells))
+    workers = min(_cpus(), len(cells))
     if spec.task == "trpca":
         _lapack()
     pool = ProcessPoolExecutor(

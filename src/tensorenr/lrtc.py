@@ -19,7 +19,7 @@ of the Euclidean-norm regularizers:
   subgradient as zero on zero columns.
 
 Both adapt the working rank: components whose columns vanish (exactly for
-the proximal solver, below ``prune_tol`` for the quasi-Newton one) are
+the proximal solver, below ``_PRUNE_TOL`` for the quasi-Newton one) are
 removed as the iteration proceeds. Both, and the public helpers
 :func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
 evaluate the masked loss through one kernel built once per call. That
@@ -42,7 +42,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -76,6 +76,9 @@ _BLOCK_BYTES = 2**20
 # flight at once, one per thread, stay a small part of the product the
 # blocking avoids forming.
 _MIN_RUN = 4
+# L-BFGS prunes a component with a column norm below this; keeps this many pairs
+_PRUNE_TOL = 1e-5
+_QN_MEMORY = 10
 
 
 # Processes that run at once on this process's CPUs: the pool workers of a
@@ -99,7 +102,6 @@ def _share_cpus(processes):
     _sharers = processes
 
 
-
 @dataclass
 class LrtcConfig:
     """Settings for the completion solvers."""
@@ -111,13 +113,11 @@ class LrtcConfig:
     t_max: int = 500
     rho: float = 1.0
     delta: float = 0.95
-    prune_tol: float = 1e-5
     conv_tol: float = 1e-8
     rng_seed: int = 0
-    qn_memory: int = 10
 
     def __post_init__(self):
-        for name in ("lam", "rho", "prune_tol", "conv_tol"):
+        for name in ("lam", "rho", "conv_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k_init < 1:
@@ -132,10 +132,8 @@ class LrtcConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.prune_tol < 0 or self.conv_tol < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.qn_memory < 1:
-            raise ValueError(f"qn_memory must be >= 1, got {self.qn_memory}")
+        if self.conv_tol < 0:
+            raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
 
 
 @dataclass
@@ -165,48 +163,59 @@ class SolveReport:
     iterations: int
     wall_time: float
     converged: bool
-    rank_trace: list = field(default_factory=list)
-    time_trace: list = field(default_factory=list)
-    stop_reason: str = "t_max"
-    evaluations: int = 0
+    rank_trace: list
+    time_trace: list
+    stop_reason: str
+    evaluations: int
 
     def trace_csv(self):
         """Per-iteration trace as CSV text with header iter,objective,rank,seconds."""
-        lines = ["iter,objective,rank,seconds"]
-        for i, obj in enumerate(self.objective_trace):
-            rank = self.rank_trace[i] if i < len(self.rank_trace) else self.final_rank
-            sec = self.time_trace[i] if i < len(self.time_trace) else self.wall_time
-            lines.append(f"{i},{obj:.12g},{rank},{sec:.6f}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.objective_trace, self.rank_trace, self.time_trace)
+        lines = [f"{i},{obj:.12g},{rank},{sec:.6f}" for i, (obj, rank, sec) in enumerate(rows)]
+        return "\n".join(["iter,objective,rank,seconds"] + lines) + "\n"
 
 
 class _Run:
-    """Aligned per-sweep traces of one solve, timed from construction, and
-    the :class:`SolveReport` assembled from them."""
+    """One solve, timed from construction: its aligned per-sweep traces,
+    the counts and stop reason the solver sets, and the
+    :class:`SolveReport` assembled from them."""
 
     def __init__(self):
         self.start = time.perf_counter()
         self.objective, self.rank, self.seconds = [], [], []
+        self.iterations = self.evaluations = 0
+        self.stop_reason = "t_max"
 
     def record(self, objective, rank):
         self.objective.append(objective)
         self.rank.append(rank)
         self.seconds.append(time.perf_counter() - self.start if self.seconds else 0.0)
 
-    def report(self, factors, shape, iterations, stop_reason, evaluations):
-        k = factors[0].shape[1]
+    def settled(self, tol):
+        """Whether the last two recorded objectives agree to `tol` relatively."""
+        before, after = self.objective[-2:]
+        return abs(before - after) <= tol * max(1.0, abs(before))
+
+    def stop(self, converged):
+        """Whether the solve ends at rank zero or `converged`; sets the stop reason."""
+        if self.rank[-1] == 0 or converged:
+            self.stop_reason = "rank_zero" if self.rank[-1] == 0 else "tol"
+            return True
+        return False
+
+    def report(self, factors):
         return SolveReport(
-            recovered=cp_reconstruct(factors) if k else np.zeros(shape),
+            recovered=cp_reconstruct(factors),
             factors=factors,
-            final_rank=k,
+            final_rank=factors[0].shape[1],
             objective_trace=self.objective,
-            iterations=iterations,
+            iterations=self.iterations,
             wall_time=time.perf_counter() - self.start,
-            converged=stop_reason in ("tol", "rank_zero"),
+            converged=self.stop_reason in ("tol", "rank_zero"),
             rank_trace=self.rank,
             time_trace=self.seconds,
-            stop_reason=stop_reason,
-            evaluations=evaluations,
+            stop_reason=self.stop_reason,
+            evaluations=self.evaluations,
         )
 
 
@@ -519,12 +528,10 @@ def bcde_solve(data, mask, config):
     # next sweep's mode-0 block (and its safeguard retries) unchanged
     kr0 = khatri_rao(factors, skip=0)
     obj = loss.value(factors, kr0) + lam * reg_value(factors, spec)
-    evaluations = 1
+    run.evaluations = 1
     run.record(obj, k)
     l_prev = [None] * ndim
     l_curr = [None] * ndim
-    stop_reason = "t_max"
-    iterations = 0
 
     for t in range(1, config.t_max + 1):
         mult = 1.0
@@ -550,7 +557,7 @@ def bcde_solve(data, mask, config):
             norms = np.sqrt([np.add.reduce(f * f, axis=0) for f in fac])
             fit = loss.value(fac, cand_kr0)
             cand = fit + lam * reg_value(fac, spec, norms)
-            evaluations += 1
+            run.evaluations += 1
             if cand <= obj or mult >= _SAFEGUARD_CAP:
                 break
             # Objective went up: retry the sweep with doubled curvature
@@ -558,9 +565,9 @@ def bcde_solve(data, mask, config):
             mult *= 2.0
             allow_extrap = False
         if not cand <= obj:
-            stop_reason = "safeguard_cap"
+            run.stop_reason = "safeguard_cap"
             break
-        iterations = t
+        run.iterations = t
         factors, prev = fac, pv
         l_prev, l_curr = l_curr, new_l
 
@@ -580,12 +587,11 @@ def bcde_solve(data, mask, config):
             cand = fit + lam * _value_from_norms(norms * scales, terms)
 
         run.record(cand, k)
-        if k == 0 or abs(obj - cand) <= config.conv_tol * max(1.0, abs(obj)):
-            stop_reason = "rank_zero" if k == 0 else "tol"
+        if run.stop(run.settled(config.conv_tol)):
             break
         obj = cand
 
-    return run.report(factors, d.shape, iterations, stop_reason, evaluations)
+    return run.report(factors)
 
 
 def _reg_grad_mode(x, term):
@@ -643,11 +649,9 @@ def quasi_newton_solve(data, mask, config):
     # the point of the last loss evaluation and its mode-0 Khatri-Rao
     # matrix: every gradient is taken at the point just evaluated
     last = [None, None]
-    evaluations = 0
 
     def fun(x, rank):
-        nonlocal evaluations
-        evaluations += 1
+        run.evaluations += 1
         fac = unpack(x, rank)
         last[:] = x, khatri_rao(fac, skip=0)
         return loss.value(fac, last[1]) + lam * reg_value(fac, spec)
@@ -681,11 +685,9 @@ def quasi_newton_solve(data, mask, config):
     g = grad(x, k)
     run.record(f, k)
     pairs = []
-    stop_reason = "t_max"
-    iterations = 0
 
     for t in range(1, config.t_max + 1):
-        iterations = t
+        run.iterations = t
         p = _two_loop(g, pairs)
         if float(p @ g) >= 0.0:
             p = -g
@@ -695,7 +697,7 @@ def quasi_newton_solve(data, mask, config):
             p = -g
             xn, fn = armijo(x, k, f, g, p, 1.0 / max(1.0, float(np.linalg.norm(g))))
         if xn is None:
-            stop_reason = "line_search_fail"
+            run.stop_reason = "line_search_fail"
             break
         gn = grad(xn, k)
         s = xn - x
@@ -703,14 +705,13 @@ def quasi_newton_solve(data, mask, config):
         sy = float(s @ yv)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
             pairs.append((s, yv, 1.0 / sy, sy / float(yv @ yv)))
-            if len(pairs) > config.qn_memory:
+            if len(pairs) > _QN_MEMORY:
                 pairs.pop(0)
-        f_before = f
         x, f, g = xn, fn, gn
 
         factors = unpack(x, k)
         norms = np.stack([np.linalg.norm(fct, axis=0) for fct in factors])
-        weak = np.any(norms < config.prune_tol, axis=0)
+        weak = np.any(norms < _PRUNE_TOL, axis=0)
         if np.any(weak):
             keep = ~weak
             factors = [fct[:, keep] for fct in factors]
@@ -721,11 +722,10 @@ def quasi_newton_solve(data, mask, config):
             g = grad(x, k)
 
         run.record(f, k)
-        if k == 0 or abs(f_before - f) <= config.conv_tol * max(1.0, abs(f_before)):
-            stop_reason = "rank_zero" if k == 0 else "tol"
+        if run.stop(run.settled(config.conv_tol)):
             break
 
-    return run.report(unpack(x, k), dims, iterations, stop_reason, evaluations)
+    return run.report(unpack(x, k))
 
 
 def solve(data, mask, config):

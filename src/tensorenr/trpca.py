@@ -21,6 +21,10 @@ scaled by s:
   carries ||x||^2 / d); plain alternating ridge least squares, whose
   objective is monotone because every block update is an exact minimizer.
 
+:func:`solver_for` alone pairs a regularizer with its solver: the
+``trpca`` command picks its solver through it, and admm and als reject a
+``spec`` it pairs with another.
+
 The three share one driver loop and differ only in their sweep, in which
 modes are split and in the per-mode penalty terms. The ADMM and ALS
 sweeps form the target D - E once and give it to all their mode updates
@@ -45,6 +49,7 @@ from .core import khatri_rao, kr_gram, mttkrp, validate_factors
 from .lrtc import _Run, init_factors
 from .regularizers import (
     RegularizerSpec,
+    _value_from_norms,
     prox_group_soft,
     prox_irls,
     soft_threshold_elem,
@@ -195,7 +200,7 @@ def _objective(fit, factors, sparse, terms, lam_x, lam_e):
     product. The l1 norm of the sparse term is a numpy sum, not a BLAS asum,
     whose rounding depends on the alignment of the buffer."""
     res = (fit - sparse).ravel()
-    pen = sum(c * float(np.sum(np.linalg.norm(f, axis=0) ** e)) for f, (c, e) in zip(factors, terms))
+    pen = _value_from_norms([np.linalg.norm(f, axis=0) for f in factors], terms)
     return 0.5 * float(res @ res) + lam_x * pen + lam_e * float(np.abs(sparse).sum())
 
 
@@ -241,14 +246,18 @@ def _relative_change(new, old):
     return nrm2((new - old).ravel()) / max(1.0, nrm2(old.ravel()))
 
 
-def _require_sym_exponent(spec, target, solver_name):
-    if spec is None:
-        return
-    if spec.kind != "sym" or spec.mode_terms()[0][1] != target:
-        raise ValueError(
-            f"{solver_name} requires a sym regularizer with column exponent "
-            f"{target:g}, got {spec.label()}"
-        )
+def solver_for(spec):
+    """The robust PCA solver that fits regularizer `spec`: admm for ``sym``
+    with column exponent 1, als for ``sym`` with column exponent 2, asym
+    for ``asym_b`` with q in (0, 1). Raises ValueError for any other."""
+    if spec.kind == "asym_b" and spec.q < 1.0:
+        return "asym"
+    if spec.kind == "sym":
+        solver = {1.0: "admm", 2.0: "als"}.get(spec.mode_terms()[0][1])
+        if solver:
+            return solver
+    raise ValueError(f"no robust PCA solver for regularizer {spec.label()}; use sym "
+                     "with a column exponent of 1 or 2, or asym_b with q in (0, 1)")
 
 
 def _drive(data, config, split, terms, sweep):
@@ -275,11 +284,9 @@ def _drive(data, config, split, terms, sweep):
 
     run = _Run()
     run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
-    stop_reason = "t_max"
-    iterations = 0
 
     for t in range(1, config.t_max + 1):
-        iterations = t
+        run.iterations = t
         # the sweeps replace factor arrays and never write into them
         prev_factors = list(factors)
         prev_sparse = sparse
@@ -296,17 +303,16 @@ def _drive(data, config, split, terms, sweep):
 
         k = factors[0].shape[1]
         run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), k)
-        if k == 0 or (
+        if run.stop(
             not pruned
             and max(_relative_change(f, p) for f, p in zip(factors, prev_factors)) < config.conv_tol
             and _relative_change(sparse, prev_sparse) < config.conv_tol
         ):
-            stop_reason = "rank_zero" if k == 0 else "tol"
             break
 
     # every objective evaluation is a recorded point
-    evaluations = len(run.objective)
-    return run.report(factors, data.shape, iterations, stop_reason, evaluations), sparse
+    run.evaluations = len(run.objective)
+    return run.report(factors), sparse
 
 
 def trpca_admm_solve(data, config):
@@ -318,7 +324,8 @@ def trpca_admm_solve(data, config):
     guaranteed monotone.
     """
     d = _check_data(data)
-    _require_sym_exponent(config.spec, 1.0, "trpca_admm_solve")
+    if config.spec is not None and solver_for(config.spec) != "admm":
+        raise ValueError(f"the admm solver does not fit regularizer {config.spec.label()}")
     lam_x, mu = config.lam_x, config.mu
 
     def sweep(sparse, factors, aux, duals):
@@ -354,7 +361,8 @@ def trpca_als_solve(data, config):
     column norms divided by d. Returns (report, sparse_term); the
     objective trace is monotone non-increasing."""
     d = _check_data(data)
-    _require_sym_exponent(config.spec, 2.0, "trpca_als_solve")
+    if config.spec is not None and solver_for(config.spec) != "als":
+        raise ValueError(f"the als solver does not fit regularizer {config.spec.label()}")
 
     def sweep(sparse, factors, aux, duals):
         return _als_sweep(d, sparse, factors, config.lam_x)

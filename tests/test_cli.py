@@ -7,7 +7,9 @@ import pytest
 from tensorenr import cli
 from tensorenr.cli import UsageError, main, parse_sweep_config
 from tensorenr.core import ObservationMask
+from tensorenr.regularizers import RegularizerSpec
 from tensorenr.tensorio import read_tensor, write_mask, write_tensor
+from tensorenr.trpca import TrpcaConfig, solver_for, trpca_solve
 
 
 def run_cli(*argv):
@@ -187,6 +189,41 @@ class TestTrpcaCommand:
         )
         assert rc == 1
         assert "solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reg, solver", [
+        ("sym:p=0.3333", "admm"),
+        ("sym:p=0.6667", "als"),
+        ("sym:p=0.5", None),
+        ("asym_b:q=0.5", "asym"),
+        ("asym_b:q=1", None),
+        ("asym_a:q=0.5", None),
+        ("table2:s12", None),
+    ])
+    def test_one_pairing_of_regularizer_and_solver(self, trpca_data, tmp_path, capsys, reg,
+                                                   solver):
+        # solver_for, the trpca command and the admm and als solvers agree
+        # on which regularizer each solver takes
+        spec = RegularizerSpec.parse(reg, 3)
+        if solver is None:
+            with pytest.raises(ValueError, match="solver"):
+                solver_for(spec)
+        else:
+            assert solver_for(spec) == solver
+        rc = run_cli(
+            "trpca", "--data", trpca_data, "--k", "2", "--lambda-x", "0.1",
+            "--lambda-e", "0.3", "--reg", reg, "--tmax", "5", "--out", str(tmp_path / "x"),
+        )
+        assert rc == (0 if solver else 1)
+        if solver is None:
+            assert "solver" in capsys.readouterr().err
+        data = read_tensor(trpca_data)
+        for name in ("admm", "als"):
+            cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.3, spec=spec, solver=name, t_max=5)
+            if name == solver:
+                trpca_solve(data, cfg)
+            else:
+                with pytest.raises(ValueError):
+                    trpca_solve(data, cfg)
 
     def test_lapack_failure_is_numeric_failure(self, trpca_data, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must not read as a usage error

@@ -356,7 +356,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(hs, "run_single", slow_first)
         # Three workers on any machine, so the first cell finishes last.
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         text = run_experiment(spec, timing=False)
         run_rows = [r.split(",") for r in text.splitlines()[1:] if r.split(",")[1] == "run"]
         grid = [(lam, seed) for lam in spec.lambdas for seed in spec.seeds]
@@ -366,7 +366,7 @@ class TestRunExperiment:
             assert row[6] == "%.10g" % metrics.relative_error
             assert int(row[9]) == metrics.final_rank
             assert int(row[10]) == iters
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert run_experiment(spec, timing=False) == text
 
     def test_dead_worker_gives_failure_rows(self, monkeypatch):
@@ -428,6 +428,24 @@ class TestRunExperiment:
         rows = [ln.split(",") for ln in text.strip().splitlines()[1:-1]]
         assert [r[-1] for r in rows] == [f"RuntimeError: cpus={threads}"] * cells
         assert lrtc._cpus() == 4
+
+    def test_pool_size_follows_the_affinity_mask(self, monkeypatch):
+        # a mask narrower than the machine: the pool starts one worker per
+        # CPU the process may run on, not per CPU of the machine
+        import tensorenr.harness as hs
+
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                sizes.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(hs, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(self.small_spec(seeds=(0, 1, 2, 3)), timing=False)
+        assert sizes == [2]
 
 
 # Runs in a child interpreter with the thread count as its argument: cuts

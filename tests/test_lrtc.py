@@ -30,6 +30,7 @@ from tensorenr.lrtc import (
     solve,
 )
 from tensorenr.regularizers import RegularizerSpec, component_magnitudes, reg_value
+from tensorenr.trpca import TrpcaConfig, trpca_solve
 
 
 def sym_spec(d, p):
@@ -500,13 +501,24 @@ class TestSolveDispatch:
             rep = solve(data, mask, cfg)
             assert rep.objective_trace[-1] <= rep.objective_trace[0]
 
-    def test_trace_csv_shape(self):
+    @pytest.mark.parametrize("solver", ["bcde", "qn", "admm", "asym", "als"])
+    def test_trace_csv_shape(self, solver):
         data, mask = rank_one_problem((4, 4, 4), 31)
-        cfg = LrtcConfig(k_init=2, lam=0.01, spec=sym_spec(3, 1.0 / 3.0), t_max=10)
-        rep = solve(data, mask, cfg)
+        if solver in ("bcde", "qn"):
+            cfg = LrtcConfig(k_init=2, lam=0.01, spec=sym_spec(3, 1.0 / 3.0), solver=solver,
+                             t_max=10)
+            rep = solve(data, mask, cfg)
+        else:
+            cfg = TrpcaConfig(k_init=2, lam_x=0.01, lam_e=0.1, q=0.5 if solver == "asym" else None,
+                              solver=solver, t_max=10)
+            rep, _ = trpca_solve(data, cfg)
         lines = rep.trace_csv().strip().splitlines()
         assert lines[0] == "iter,objective,rank,seconds"
         assert len(lines) == len(rep.objective_trace) + 1
+        # every row's rank and seconds are the report's, not a fallback
+        traces = zip(rep.objective_trace, rep.rank_trace, rep.time_trace)
+        for i, (line, (obj, rank, sec)) in enumerate(zip(lines[1:], traces)):
+            assert line == f"{i},{obj:.12g},{rank},{sec:.6f}"
 
     def test_config_validation(self):
         spec = sym_spec(3, 0.5)
@@ -519,7 +531,7 @@ class TestSolveDispatch:
         with pytest.raises(ValueError):
             LrtcConfig(k_init=2, lam=0.0, spec=spec, delta=1.0)
 
-    @pytest.mark.parametrize("field", ["lam", "rho", "prune_tol", "conv_tol"])
+    @pytest.mark.parametrize("field", ["lam", "rho", "conv_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_config_rejects_non_finite_settings(self, field, value):
         # a NaN weight used to pass and give a NaN objective, on which the
