@@ -515,6 +515,7 @@ class TestSolveDispatch:
         lines = rep.trace_csv().strip().splitlines()
         assert lines[0] == "iter,objective,rank,seconds"
         assert len(lines) == len(rep.objective_trace) + 1
+        assert len(rep.rank_trace) == len(rep.time_trace) == len(rep.objective_trace)
         # every row's rank and seconds are the report's, not a fallback
         traces = zip(rep.objective_trace, rep.rank_trace, rep.time_trace)
         for i, (line, (obj, rank, sec)) in enumerate(zip(lines[1:], traces)):
