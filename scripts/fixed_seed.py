@@ -14,7 +14,8 @@ Each tree runs in its own child process. ``lrtc`` (completion) runs:
   unregularized (lambda 0, where both solvers skip penalty work) and the
   c6 power-one cell (missing rate 0.9, ``sym:p=1``, lambda 0.2);
 * the c5 and c6 ``run_experiment(spec, timing=False)`` CSVs (both c5
-  studies, both c6 arms, ten seeds each);
+  studies, both c6 arms, ten seeds each), with bcde, and the c5 tuned
+  study's CSV with qn;
 * one 100x100x100 cell per solver (missing rate 0.9, ``sym:p=0.3333``,
   lambda 8, seed 0, 100 sweeps or iterations), large enough that the
   masked-loss kernel forms its dense product in several column blocks
@@ -26,8 +27,9 @@ Each tree runs in its own child process. ``lrtc`` (completion) runs:
 ``trpca`` (robust PCA) runs the acceptance gate's c8 instance (30x30x30,
 rank 5, k_init 10, 10% additive corruption, lam_e 0.1): seeds 0 and 1,
 solvers admm, asym and als, lam_x 0.1 and 5.0, and the c8
-``run_experiment(spec, timing=False)`` CSVs (both arms, lam_e 0.1 and 0,
-ten seeds).
+``run_experiment(spec, timing=False)`` CSVs (the gate's asym and admm
+arms and an als arm with its default ``sym:p=2/d``, lam_e 0.1 and 0,
+ten seeds), so every solver runs through ``run_single``.
 
 A solver cell is "identical" when its factors, ``recovered``, rank and
 objective traces, iteration count and ``converged`` (and for robust PCA
@@ -72,6 +74,8 @@ CSVS = {
     "c5 plain": dict(missing_rate=0.7, reg="sym:p=0.3333", lambdas=(0.0,)),
     "c6 p=0.3333": dict(missing_rate=0.9, reg="sym:p=0.3333", lambdas=(0.5, 1.0, 2.0, 4.0, 8.0)),
     "c6 p=1": dict(missing_rate=0.9, reg="sym:p=1", lambdas=(0.05, 0.1, 0.2, 0.4, 0.8)),
+    "c5 tuned qn": dict(missing_rate=0.7, reg="sym:p=0.3333", lambdas=(1.0, 2.0, 4.0, 8.0, 16.0),
+                        solver="qn"),
 }
 LARGE = dict(task="lrtc", shape=(100, 100, 100), true_rank=5, k_init=10, noise_level=0.1,
              missing_rate=0.9, reg="sym:p=0.3333", solver="bcde", t_max=100)
@@ -108,7 +112,7 @@ def dump_lrtc():
             for seed in (0, 1):
                 out[f"{name} {solver} seed={seed} lam={lam}"] = lrtc_cell(spec, seed, lam)
     for name, arm in CSVS.items():
-        out[f"{name} csv"] = harness.run_experiment(harness.ExperimentSpec(**DESK, **arm),
+        out[f"{name} csv"] = harness.run_experiment(harness.ExperimentSpec(**{**DESK, **arm}),
                                                     timing=False)
     for solver in ("bcde", "qn"):
         spec = harness.ExperimentSpec(**{**LARGE, "solver": solver})
@@ -133,7 +137,7 @@ def dump_trpca():
                                   spec=spec.reg, q=spec.q, solver=solver, rng_seed=seed)
                 rep, sparse = trpca_solve(data, cfg)
                 out[f"{solver} seed={seed} lam_x={lam}"] = answers(rep, sparse=sparse)
-    for solver in ("asym", "admm"):
+    for solver in ("asym", "admm", "als"):
         for lam_e in (0.1, 0.0):
             spec = harness.ExperimentSpec(solver=solver, lambda_e=lam_e, seeds=range(10),
                                           lambdas=(0.1,), **ARMS[solver], **C8)

@@ -22,6 +22,7 @@ import numpy as np
 from .harness import (
     ExperimentSpec,
     NumericFailure,
+    _held_out,
     gen_lrtc_data,
     gen_trpca_data,
     psnr,
@@ -76,10 +77,10 @@ def build_parser():
     lrtc.add_argument("--k", type=int, required=True)
     lrtc.add_argument("--lambda", dest="lam", type=float, required=True)
     lrtc.add_argument("--reg", default="sym")
-    lrtc.add_argument("--solver", choices=("bcde", "qn"), default="bcde")
-    lrtc.add_argument("--rho", type=float, default=1.0)
-    lrtc.add_argument("--delta", type=float, default=0.95)
-    lrtc.add_argument("--tmax", type=int, default=500)
+    lrtc.add_argument("--solver", choices=("bcde", "qn"), default=LrtcConfig.solver)
+    lrtc.add_argument("--rho", type=float, default=LrtcConfig.rho)
+    lrtc.add_argument("--delta", type=float, default=LrtcConfig.delta)
+    lrtc.add_argument("--tmax", type=int, default=LrtcConfig.t_max)
     lrtc.add_argument("--seed", type=int, default=0)
     lrtc.add_argument("--out", required=True, help="output file prefix")
 
@@ -88,10 +89,10 @@ def build_parser():
     trpca.add_argument("--k", type=int, required=True)
     trpca.add_argument("--lambda-x", dest="lam_x", type=float, required=True)
     trpca.add_argument("--lambda-e", dest="lam_e", type=float, required=True)
-    trpca.add_argument("--mu", type=float, default=10.0)
+    trpca.add_argument("--mu", type=float, default=TrpcaConfig.mu)
     trpca.add_argument("--reg", default="sym")
     trpca.add_argument("--q", type=float, default=None)
-    trpca.add_argument("--tmax", type=int, default=500)
+    trpca.add_argument("--tmax", type=int, default=TrpcaConfig.t_max)
     trpca.add_argument("--seed", type=int, default=0)
     trpca.add_argument("--out", required=True, help="output file prefix")
 
@@ -162,15 +163,15 @@ def _cmd_lrtc(args):
 
 def _cmd_trpca(args):
     data = read_tensor(args.data)
+    # --reg has a default, so a given --q wins whatever it says
     reg = None if args.q is not None else RegularizerSpec.parse(args.reg, data.ndim)
-    solver = "asym" if reg is None else solver_for(reg)
     cfg = TrpcaConfig(
         k_init=args.k,
         lam_x=args.lam_x,
         lam_e=args.lam_e,
         spec=reg,
         q=args.q,
-        solver=solver,
+        solver=solver_for(reg, args.q),
         mu=args.mu,
         t_max=args.tmax,
         rng_seed=args.seed,
@@ -279,11 +280,7 @@ def _cmd_sweep(args):
 def _cmd_eval(args):
     truth = read_tensor(args.truth)
     estimate = read_tensor(args.estimate)
-    eval_mask = None
-    if args.mask is not None:
-        eval_mask = read_mask(args.mask).complement()
-        if eval_mask.count == 0:
-            eval_mask = None
+    eval_mask = None if args.mask is None else _held_out(read_mask(args.mask))
     err = relative_error(truth, estimate, eval_mask)
     quality = psnr(truth, estimate)
     print("rel_error,psnr")

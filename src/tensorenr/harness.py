@@ -34,7 +34,7 @@ import numpy as np
 from .core import cp_reconstruct, sample_mask
 from .lrtc import LrtcConfig, _cpus, _share_cpus, solve as lrtc_solve
 from .regularizers import RegularizerSpec
-from .trpca import TrpcaConfig, _lapack, trpca_solve
+from .trpca import TrpcaConfig, _lapack, solver_for, trpca_solve
 
 CSV_COLUMNS = (
     "task,kind,seed,lambda,p_effective,rate,rel_error,rel_error_std,"
@@ -68,13 +68,9 @@ def relative_error(truth, estimate, eval_mask=None):
         if tuple(eval_mask.shape) != t.shape:
             raise ValueError("evaluation mask shape does not match tensors")
         idx = eval_mask.multi_indices()
-        diff = t[idx] - e[idx]
-        ref = t[idx]
-        num = float(np.linalg.norm(diff))
-        den = float(np.linalg.norm(ref))
-    else:
-        num = float(np.linalg.norm(t - e))
-        den = float(np.linalg.norm(t))
+        t, e = t[idx], e[idx]
+    num = float(np.linalg.norm(t - e))
+    den = float(np.linalg.norm(t))
     if den == 0.0:
         raise NumericFailure("reference tensor has zero norm on the evaluation set")
     return num / den
@@ -106,6 +102,13 @@ class ExperimentSpec:
     ``lambdas`` may include 0 for unregularized ablations; when None the
     default 20-point log grid is used. ``reg`` accepts either a
     :class:`RegularizerSpec` or grammar text like ``sym:p=0.3333``.
+
+    A robust-PCA solver follows the ``trpca`` command's one pairing rule,
+    :func:`trpca.solver_for` (``q`` selects asym, else ``reg`` picks); a
+    named solver without ``reg`` gets its default one (none for asym), and
+    settings that pair with another solver raise ValueError. The cells'
+    configs come from :meth:`solver_config`, which runs for each lambda
+    when the spec is built, so bad settings raise before any cell runs.
     """
 
     task: str
@@ -123,10 +126,10 @@ class ExperimentSpec:
     lambdas: tuple | None = None
     lambda_e: float = 0.1
     q: float | None = None
-    t_max: int = 500
-    rho: float = 1.0
-    delta: float = 0.95
-    mu: float = 10.0
+    t_max: int = LrtcConfig.t_max
+    rho: float = LrtcConfig.rho
+    delta: float = LrtcConfig.delta
+    mu: float = TrpcaConfig.mu
 
     def __post_init__(self):
         if self.task not in ("lrtc", "trpca"):
@@ -148,21 +151,22 @@ class ExperimentSpec:
             raise ValueError(f"weights_mode must be unit or linear, got {self.weights_mode!r}")
         if self.k_init is None:
             self.k_init = 2 * self.true_rank
-        if self.solver is None:
-            self.solver = "bcde" if self.task == "lrtc" else "admm"
-        allowed = ("bcde", "qn") if self.task == "lrtc" else ("admm", "asym", "als")
-        if self.solver not in allowed:
-            raise ValueError(f"solver {self.solver!r} not valid for task {self.task!r}")
         order = len(self.shape)
-        if self.reg is None:
-            if self.task == "trpca" and self.solver == "als":
-                self.reg = RegularizerSpec("sym", order, p=2.0 / order)
-            elif self.task == "trpca" and self.solver == "asym":
-                self.reg = None
-            else:
-                self.reg = RegularizerSpec("sym", order, p=1.0 / order)
-        elif isinstance(self.reg, str):
+        if isinstance(self.reg, str):
             self.reg = RegularizerSpec.parse(self.reg, order)
+        if self.solver is None:
+            self.solver = (solver_for(self.reg, self.q) if self.task == "trpca"
+                           else LrtcConfig.solver)
+        if self.reg is None and self.solver != "asym":
+            power = 2.0 if self.solver == "als" else 1.0
+            self.reg = RegularizerSpec("sym", order, p=power / order)
+        # the rule must give the solver back, and a reg must pair with it
+        if self.task == "trpca" and (
+            solver_for(self.reg, self.q) != self.solver
+            or self.reg is not None and solver_for(self.reg) != self.solver
+        ):
+            raise ValueError(f"solver {self.solver!r} does not fit regularizer "
+                             f"{self.reg and self.reg.label()} with q={self.q}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
@@ -170,13 +174,23 @@ class ExperimentSpec:
             self.lambdas = tuple(float(v) for v in self.lambdas)
             if not self.lambdas:
                 raise ValueError("lambdas must be non-empty")
-            if any(v < 0 for v in self.lambdas):
-                raise ValueError("lambda values must be non-negative")
+        for lam in self.lambda_values():
+            self.solver_config(lam, self.seeds[0])
 
     def lambda_values(self):
         if self.lambdas is not None:
             return tuple(self.lambdas)
         return tuple(lambda_grid())
+
+    def solver_config(self, lam, seed):
+        """The ``LrtcConfig`` or ``TrpcaConfig`` of the (lam, seed) cell."""
+        if self.task == "lrtc":
+            return LrtcConfig(k_init=self.k_init, lam=lam, spec=self.reg, solver=self.solver,
+                              t_max=self.t_max, rho=self.rho, delta=self.delta,
+                              rng_seed=_solver_seed(seed))
+        return TrpcaConfig(k_init=self.k_init, lam_x=lam, lam_e=self.lambda_e, spec=self.reg,
+                           q=self.q, solver=self.solver, mu=self.mu, t_max=self.t_max,
+                           rng_seed=_solver_seed(seed))
 
 
 def _component_weights(mode, rank):
@@ -238,47 +252,29 @@ def _solver_seed(seed):
     return int(np.random.default_rng([int(seed), 0x5EED]).integers(0, 2**63 - 1))
 
 
+def _held_out(mask):
+    """The entries to score a completion on: the complement of training
+    `mask`, or None (every entry) when the mask covers the whole tensor."""
+    held = mask.complement()
+    return held if held.count else None
+
+
 def run_single(spec, seed, lam, timing=True):
     """Run one (seed, lambda) cell of the experiment; returns Metrics."""
     start = time.perf_counter()
+    cfg = spec.solver_config(lam, seed)
     if spec.task == "lrtc":
         truth, data, mask = gen_lrtc_data(spec, seed)
-        cfg = LrtcConfig(
-            k_init=spec.k_init,
-            lam=lam,
-            spec=spec.reg,
-            solver=spec.solver,
-            t_max=spec.t_max,
-            rho=spec.rho,
-            delta=spec.delta,
-            rng_seed=_solver_seed(seed),
-        )
         report = lrtc_solve(data, mask, cfg)
-        estimate = report.recovered
-        eval_mask = mask.complement()
-        if eval_mask.count == 0:
-            eval_mask = None
-        err = relative_error(truth, estimate, eval_mask)
+        err = relative_error(truth, report.recovered, _held_out(mask))
     else:
         truth, data, _ = gen_trpca_data(spec, seed)
-        cfg = TrpcaConfig(
-            k_init=spec.k_init,
-            lam_x=lam,
-            lam_e=spec.lambda_e,
-            spec=spec.reg,
-            q=spec.q,
-            solver=spec.solver,
-            mu=spec.mu,
-            t_max=spec.t_max,
-            rng_seed=_solver_seed(seed),
-        )
         report, _ = trpca_solve(data, cfg)
-        estimate = report.recovered
-        err = relative_error(truth, estimate)
+        err = relative_error(truth, report.recovered)
     wall = time.perf_counter() - start if timing else 0.0
     return Metrics(
         relative_error=err,
-        psnr=psnr(truth, estimate),
+        psnr=psnr(truth, report.recovered),
         wall_time=wall,
         final_rank=report.final_rank,
     ), report.iterations

@@ -21,9 +21,9 @@ scaled by s:
   carries ||x||^2 / d); plain alternating ridge least squares, whose
   objective is monotone because every block update is an exact minimizer.
 
-:func:`solver_for` alone pairs a regularizer with its solver: the
-``trpca`` command picks its solver through it, and admm and als reject a
-``spec`` it pairs with another.
+:func:`solver_for` holds the one pairing rule: q selects asym, else the
+regularizer picks. The ``trpca`` command and ``harness.ExperimentSpec``
+pick their solver by it; admm and als reject a ``spec`` it pairs elsewhere.
 
 The three share one driver loop and differ only in their sweep, in which
 modes are split and in the per-mode penalty terms. The ADMM and ALS
@@ -246,10 +246,16 @@ def _relative_change(new, old):
     return nrm2((new - old).ravel()) / max(1.0, nrm2(old.ravel()))
 
 
-def solver_for(spec):
-    """The robust PCA solver that fits regularizer `spec`: admm for ``sym``
-    with column exponent 1, als for ``sym`` with column exponent 2, asym
-    for ``asym_b`` with q in (0, 1). Raises ValueError for any other."""
+def solver_for(spec=None, q=None):
+    """The robust PCA solver by the one pairing rule: a given `q` selects
+    asym; otherwise `spec` picks admm for ``sym`` with column exponent 1,
+    als for ``sym`` with exponent 2 and asym for ``asym_b`` with q in
+    (0, 1), and no `spec` (the default ``sym:p=1/d``) picks admm. Raises
+    ValueError for any other `spec`."""
+    if q is not None:
+        return "asym"
+    if spec is None:
+        return TrpcaConfig.solver
     if spec.kind == "asym_b" and spec.q < 1.0:
         return "asym"
     if spec.kind == "sym":

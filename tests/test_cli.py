@@ -333,6 +333,21 @@ class TestSweepCommand:
         assert run_cli("sweep", cfg) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("task, line, message", [
+        ("lrtc", "tmax=0", "t_max must be >= 1, got 0"),
+        ("trpca", "mu=-1", "mu must be positive, got -1.0"),
+        ("lrtc", "rho=0", "rho must be positive, got 0.0"),
+        ("trpca", "solver=asym\nq=0.5\nreg=sym:p=0.3333", "solver 'asym' does not fit"),
+    ])
+    def test_bad_solver_setting_exits_before_any_cell(self, tmp_path, capsys, task, line,
+                                                      message):
+        # checked when the spec is built: no cell runs and no CSV is written
+        cfg = self.write_config(tmp_path, f"task={task}\nshape=4x4x4\nrank=1\n{line}\n")
+        out = tmp_path / "report.csv"
+        assert run_cli("sweep", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_comments_and_blanks_ignored(self):
         values = parse_sweep_config(
             "# synthetic run\n\ntask=trpca\nshape=4x4x4\nrank=2\ndensity=0.1\n"

@@ -9,10 +9,12 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from tensorenr.core import sample_mask
 from tensorenr.harness import (
     ExperimentSpec,
     NumericFailure,
     _component_weights,
+    _held_out,
     _solver_seed,
     best_lambda,
     gen_lrtc_data,
@@ -23,6 +25,8 @@ from tensorenr.harness import (
     run_experiment,
     run_single,
 )
+from tensorenr.lrtc import LrtcConfig
+from tensorenr.trpca import solver_for
 
 
 class TestRelativeError:
@@ -189,6 +193,29 @@ class TestExperimentSpec:
         spec = ExperimentSpec(task="trpca", shape=(6, 6, 6), true_rank=3, solver="als")
         assert spec.reg.p == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("settings, solver", [
+        (dict(), "admm"),
+        (dict(reg="sym:p=0.3333"), "admm"),
+        (dict(reg="sym:p=0.6667"), "als"),
+        (dict(reg="asym_b:q=0.5"), "asym"),
+        (dict(q=0.5), "asym"),
+        (dict(solver="asym", q=0.5), "asym"),
+    ])
+    def test_trpca_solver_follows_the_pairing_rule(self, settings, solver):
+        # the sweep picks its robust-PCA solver as the trpca command does
+        spec = ExperimentSpec(task="trpca", shape=(6, 6, 6), true_rank=3, **settings)
+        assert spec.solver == solver
+        assert solver_for(spec.reg, spec.q) == solver
+
+    def test_solver_config_is_the_cell_config(self):
+        spec = ExperimentSpec(task="trpca", shape=(6, 6, 6), true_rank=3, q=0.5, mu=4.0)
+        cfg = spec.solver_config(0.25, 7)
+        assert (cfg.lam_x, cfg.lam_e, cfg.q, cfg.solver, cfg.mu) == (0.25, 0.1, 0.5, "asym", 4.0)
+        assert cfg.rng_seed == _solver_seed(7)
+        defaults = ExperimentSpec(task="lrtc", shape=(6, 6, 6), true_rank=3).solver_config(1.0, 0)
+        assert defaults == LrtcConfig(k_init=6, lam=1.0, spec=defaults.spec,
+                                      rng_seed=_solver_seed(0))
+
     def test_reg_from_text(self):
         spec = ExperimentSpec(
             task="lrtc", shape=(6, 6, 6), true_rank=3, reg="table2:s25"
@@ -208,6 +235,19 @@ class TestExperimentSpec:
             ExperimentSpec(task="lrtc", shape=(4, 4, 4), true_rank=1, solver="als")
         with pytest.raises(ValueError):
             ExperimentSpec(task="lrtc", shape=(4, 4, 4), true_rank=1, lambdas=(-1.0,))
+        # the solver configs' own checks run when the spec is built
+        for field, bad in (("t_max", dict(t_max=0)), ("rho", dict(rho=0.0)),
+                           ("delta", dict(delta=1.0)), ("lam", dict(lambdas=(np.nan,)))):
+            with pytest.raises(ValueError, match=field):
+                ExperimentSpec(task="lrtc", shape=(4, 4, 4), true_rank=1, **bad)
+        with pytest.raises(ValueError, match="mu"):
+            ExperimentSpec(task="trpca", shape=(4, 4, 4), true_rank=1, mu=-1.0)
+        # settings that pair with another robust-PCA solver than the named one
+        for bad in (dict(solver="asym", q=0.5, reg="sym:p=0.3333"), dict(solver="admm", q=0.5),
+                    dict(solver="asym"), dict(q=0.5, reg="sym:p=0.6667"),
+                    dict(reg="table2:s12")):
+            with pytest.raises(ValueError, match="solver"):
+                ExperimentSpec(task="trpca", shape=(4, 4, 4), true_rank=1, **bad)
 
 
 def test_empty_lambda_grid_rejected():
@@ -230,6 +270,15 @@ def test_solver_seed_decorrelates_init():
     assert not np.allclose(init[0], data_factors[0] / np.linalg.norm(data_factors[0], axis=0))
     assert _solver_seed(3) == _solver_seed(3)
     assert _solver_seed(3) != _solver_seed(4)
+
+
+def test_held_out_entries():
+    # the complement of the training mask, or every entry when it is full
+    mask = sample_mask((4, 4, 4), 0.25, 3)
+    held = _held_out(mask)
+    assert held.count == 64 - mask.count
+    assert not np.intersect1d(held.linear_indices, mask.linear_indices).size
+    assert _held_out(sample_mask((4, 4, 4), 0.0, 3)) is None
 
 
 class TestRunSingle:
@@ -291,6 +340,19 @@ class TestRunExperiment:
         assert lines[0].startswith("task,kind,seed,lambda")
         assert lines[1].split(",")[1] == "run"
         assert lines[2].split(",")[1] == "summary"
+
+    def test_asym_b_reg_runs_the_asym_solver(self):
+        # reg=asym_b:q=0.5 pairs with asym: the same cells as q=0.5, with
+        # the regularizer's effective power in the p_effective column
+        base = dict(task="trpca", shape=(8, 8, 8), true_rank=2, sparse_density=0.1,
+                    seeds=(0, 1), lambdas=(0.1,), t_max=30)
+        by_reg = run_experiment(ExperimentSpec(reg="asym_b:q=0.5", **base), timing=False)
+        by_q = run_experiment(ExperimentSpec(solver="asym", q=0.5, **base), timing=False)
+        rows = [[line.split(",") for line in text.splitlines()[1:]] for text in (by_reg, by_q)]
+        assert all(row[4] == "0.3333333333" for row in rows[0])
+        for a, b in zip(*rows):
+            assert (a[6], a[9], a[10]) == (b[6], b[9], b[10])
+            assert a[6] != ""
 
     def test_default_grid_used_when_lambdas_missing(self):
         spec = self.small_spec(lambdas=None)
