@@ -29,7 +29,11 @@ rank 5, k_init 10, 10% additive corruption, lam_e 0.1): seeds 0 and 1,
 solvers admm, asym and als, lam_x 0.1 and 5.0, and the c8
 ``run_experiment(spec, timing=False)`` CSVs (the gate's asym and admm
 arms and an als arm with its default ``sym:p=2/d``, lam_e 0.1 and 0,
-ten seeds), so every solver runs through ``run_single``.
+ten seeds), so every solver runs through ``run_single``. It also runs the
+gate's c4 cells for all three solvers: clean rank-one 10x10x10 data,
+k_init 2, lam_x 0 and lam_e 1e6. With no ridge, the normal equations of
+a mode update there can be singular, so these cells take the
+least-squares fallback of the block solve.
 
 A solver cell is "identical" when its factors, ``recovered``, rank and
 objective traces, iteration count and ``converged`` (and for robust PCA
@@ -125,6 +129,8 @@ def dump_lrtc():
 
 def dump_trpca():
     from tensorenr import harness
+    from tensorenr.core import cp_reconstruct
+    from tensorenr.regularizers import RegularizerSpec
     from tensorenr.trpca import TrpcaConfig, trpca_solve
 
     out = {}
@@ -142,6 +148,16 @@ def dump_trpca():
             spec = harness.ExperimentSpec(solver=solver, lambda_e=lam_e, seeds=range(10),
                                           lambdas=(0.1,), **ARMS[solver], **C8)
             out[f"c8 csv {solver} lam_e={lam_e}"] = harness.run_experiment(spec, timing=False)
+    # the gate's c4 instance and arms
+    rng = np.random.default_rng(44)
+    truth = cp_reconstruct([rng.standard_normal((10, 1)) for _ in range(3)])
+    c4_arms = {"admm": dict(spec=RegularizerSpec("sym", 3, p=1.0 / 3.0), mu=1.0),
+               "asym": dict(q=0.5), "als": dict(spec=RegularizerSpec("sym", 3, p=2.0 / 3.0))}
+    for solver, arm in c4_arms.items():
+        cfg = TrpcaConfig(k_init=2, lam_x=0.0, lam_e=1e6, solver=solver, t_max=200,
+                          rng_seed=6, **arm)
+        rep, sparse = trpca_solve(truth, cfg)
+        out[f"c4 {solver} lam_x=0.0"] = answers(rep, sparse=sparse)
     return out
 
 

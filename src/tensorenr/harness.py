@@ -11,13 +11,13 @@ The (lambda, seed) cells of a grid are independent solves, so
 may run on, number of cells) workers and writes the rows in grid order.
 The workers are forked ("fork" context), so they inherit the caller's
 loaded modules and monkeypatches; forkserver, the Linux default from
-Python 3.14, would give neither. For robust PCA the caller loads
-``scipy.linalg`` (which the package otherwise leaves unimported) before
-forking, so no worker imports it again. Each row's seconds are the cell's
-wall time inside its worker. Workers inherit the caller's BLAS thread
-setting, and each splits its completion kernel's block calls among its
-share of the CPUs (their number divided by the number of workers), not
-among all of them.
+Python 3.14, would give neither. For completion the caller loads
+``scipy.sparse``, which the package otherwise leaves unimported, before
+forking, so no worker imports it again; robust PCA needs numpy alone.
+Each row's seconds are the cell's wall time inside its worker. Workers
+inherit the caller's BLAS thread setting, and each splits its completion
+kernel's block calls among its share of the CPUs (their number divided
+by the number of workers), not among all of them.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cp_reconstruct, sample_mask
-from .lrtc import LrtcConfig, _cpus, _share_cpus, solve as lrtc_solve
+from .lrtc import LrtcConfig, _cpus, _csr_matrix, _share_cpus, solve as lrtc_solve
 from .regularizers import RegularizerSpec
-from .trpca import TrpcaConfig, _lapack, solver_for, trpca_solve
+from .trpca import TrpcaConfig, solver_for, trpca_solve
 
 CSV_COLUMNS = (
     "task,kind,seed,lambda,p_effective,rate,rel_error,rel_error_std,"
@@ -333,9 +333,9 @@ def run_experiment(spec, timing=True, out_path=None):
     The workers are forked from the caller (the ``"fork"`` context, not
     the platform default, which is forkserver on Linux from Python 3.14):
     a forked worker starts with the caller's imported modules and runs
-    the caller's bindings, monkeypatches included. For a robust-PCA spec
-    the caller first loads the LAPACK routines of ``scipy.linalg``, so the
-    workers inherit them instead of each importing the module. Workers
+    the caller's bindings, monkeypatches included. For a completion spec
+    the caller first loads ``scipy.sparse`` (``lrtc._csr_matrix``), so the
+    workers inherit it instead of each importing the module. Workers
     inherit the caller's BLAS thread setting and do not pin it, which
     would need threadpoolctl (not a dependency) or ctypes calls into the
     BLAS library; set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable)
@@ -357,8 +357,8 @@ def run_experiment(spec, timing=True, out_path=None):
     p_eff = spec.reg.effective_p if spec.reg is not None else None
     cells = [(lam, seed) for lam in spec.lambda_values() for seed in spec.seeds]
     workers = min(_cpus(), len(cells))
-    if spec.task == "trpca":
-        _lapack()
+    if spec.task == "lrtc":
+        _csr_matrix()
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

@@ -38,6 +38,7 @@ the Hadamard product of the other modes' k x k Grams.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -45,7 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .core import (
     cp_reconstruct,
@@ -94,6 +94,16 @@ def _cpus():
     except AttributeError:  # a platform without affinity masks (macOS)
         cpus = os.cpu_count() or 1
     return max(1, cpus // _sharers)
+
+
+@functools.cache
+def _csr_matrix():
+    """``scipy.sparse.csr_matrix``, the package's one scipy import, loaded
+    when the first kernel is built. ``harness.run_experiment`` calls this
+    before it forks completion workers, so they inherit the module."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix
 
 
 def _share_cpus(processes):
@@ -303,7 +313,7 @@ class _MaskedLoss:
             block = block[order]
             # offset in the product block, whose rows are as wide as it is
             offsets = idx[j][order] * np.minimum(width, ncols - block * width) + local[order]
-            pattern = csr_matrix((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
+            pattern = _csr_matrix()((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
             self.pattern.append(pattern)
             bounds = indptr[::n].tolist()
             # per non-empty block: its columns, its entries' offsets and
@@ -340,7 +350,7 @@ class _MaskedLoss:
         if r1 - r0 == pattern.shape[0]:
             return pattern
         lo, hi = pattern.indptr[r0], pattern.indptr[r1]
-        rows = csr_matrix(
+        rows = _csr_matrix()(
             (self._buf[lo:hi], pattern.indices[lo:hi], pattern.indptr[r0 : r1 + 1] - lo),
             shape=(r1 - r0, pattern.shape[1]),
         )

@@ -39,7 +39,6 @@ CP(F) once (twice when it prunes).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +86,11 @@ class TrpcaConfig:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.conv_tol < 0:
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
+        if self.q is not None and not 0.0 < self.q < 1.0:
+            raise ValueError(f"q must be in (0, 1), got {self.q}")
+        if (self.q is not None and self.spec is not None and self.spec.kind == "asym_b"
+                and not math.isclose(self.q, self.spec.q, rel_tol=1e-6)):
+            raise ValueError(f"q={self.q} differs from the q of regularizer {self.spec.label()}")
 
 
 def _check_data(data):
@@ -100,39 +104,19 @@ def _check_data(data):
     return d
 
 
-@functools.cache
-def _lapack():
-    """The float64 ``(potrf, potrs, nrm2)`` routines, from ``scipy.linalg``.
-
-    The module is imported on the first call, not with this one: only
-    robust PCA needs it, and it holds about 8 MB in every process that
-    imports it. ``harness.run_experiment`` calls this before it forks
-    robust-PCA workers, so they inherit the loaded module.
-    """
-    from scipy.linalg import get_blas_funcs, get_lapack_funcs
-
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-    return potrf, potrs, get_blas_funcs("nrm2", dtype=np.float64)
-
-
 def _solve_right(gram, rhs):
-    """Solve X @ gram = rhs for X with a Cholesky factorization of the
-    symmetric k x k `gram`, falling back to least squares if it is not
-    numerically positive definite.
-
-    The LAPACK routines are called directly with the arguments that
-    ``cho_factor``/``cho_solve`` pass, so the result is theirs bit for
-    bit, and non-finite input raises the same ValueError.
-    """
+    """Solve X @ gram = rhs for X, for the symmetric k x k `gram`: a
+    Cholesky factorization tests positive definiteness and an LU solve
+    answers; if either finds `gram` singular (a Cholesky can pass where LU
+    meets an exact zero pivot), least squares does. Non-finite input
+    raises LinAlgError, a numeric failure."""
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if rhs.size == 0:
-        return np.zeros(rhs.shape)
-    potrf, potrs, _ = _lapack()
-    factor, info = potrf(gram, lower=False, overwrite_a=False, clean=False)
-    if info > 0:
+        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+    try:
+        np.linalg.cholesky(gram)
+        return np.linalg.solve(gram, rhs.T).T
+    except np.linalg.LinAlgError:
         return np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
-    return potrs(factor, rhs.T, lower=False, overwrite_b=False)[0].T
 
 
 def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
@@ -242,8 +226,7 @@ def _als_sweep(data, sparse, factors, lam_x):
 
 
 def _relative_change(new, old):
-    nrm2 = _lapack()[2]
-    return nrm2((new - old).ravel()) / max(1.0, nrm2(old.ravel()))
+    return np.linalg.norm((new - old).ravel()) / max(1.0, np.linalg.norm(old.ravel()))
 
 
 def solver_for(spec=None, q=None):

@@ -238,6 +238,18 @@ class TestTrpcaCommand:
         assert rc == 2
         assert "numeric failure: factorization failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_solve_is_numeric_failure(self, tmp_path, capsys):
+        # the second mode's Gram overflows to inf on finite data
+        data = tmp_path / "big.tnsr"
+        write_tensor(data, np.full((4, 4, 4), 1e200))
+        rc = run_cli(
+            "trpca", "--data", str(data), "--k", "2", "--lambda-x", "0.1",
+            "--lambda-e", "0.3", "--out", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert "numeric failure: array must not contain infs or NaNs" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_metrics_line(self, lrtc_files, capsys):
@@ -338,6 +350,8 @@ class TestSweepCommand:
         ("trpca", "mu=-1", "mu must be positive, got -1.0"),
         ("lrtc", "rho=0", "rho must be positive, got 0.0"),
         ("trpca", "solver=asym\nq=0.5\nreg=sym:p=0.3333", "solver 'asym' does not fit"),
+        ("trpca", "q=1.5", "q must be in (0, 1), got 1.5"),
+        ("trpca", "q=0.3\nreg=asym_b:q=0.5", "q=0.3 differs from the q of regularizer"),
     ])
     def test_bad_solver_setting_exits_before_any_cell(self, tmp_path, capsys, task, line,
                                                       message):

@@ -1,6 +1,8 @@
-"""Which heavy modules a process loads, checked in fresh interpreters:
-this test process has scipy.linalg loaded already (test_core and
-test_trpca import it)."""
+"""Which scipy modules a process loads, checked in fresh interpreters:
+this test process has scipy loaded already (test_core and test_trpca
+import it). Robust PCA and the gen, eval and trpca commands run on numpy
+alone; only the completion kernel loads ``scipy.sparse``, and no stage
+loads ``scipy.linalg``."""
 
 import json
 import subprocess
@@ -8,85 +10,103 @@ import sys
 
 import pytest
 
-# Runs in a child interpreter with the work directory as its argument and
-# prints, after each stage, whether scipy.linalg is loaded. Every sweep
-# cell also checks, inside its forked worker before solving, that the
-# module is loaded there exactly when the task is robust PCA.
+# Runs in a child interpreter as ``SCRIPT CHILD WORKDIR`` and prints, as
+# JSON, which scipy modules are loaded after each stage of CHILD. Every
+# sweep cell also checks, inside its forked worker before solving, that
+# the worker starts with the modules the task needs and no others.
 SCRIPT = r"""
 import json
 import sys
 
 def loaded():
-    return "scipy.linalg" in sys.modules
+    return {name: name in sys.modules for name in ("scipy", "scipy.sparse", "scipy.linalg")}
 
 import tensorenr
 from tensorenr import cli, harness
 
+child, work = sys.argv[1], sys.argv[2]
 stages = {"import tensorenr": loaded()}
-prefix = sys.argv[1] + "/toy"
-for argv in (
-    ["gen", "--task", "lrtc", "--shape", "6x6x6", "--rank", "1", "--missing-rate", "0.3",
-     "--out", prefix],
-    ["lrtc", "--data", prefix + "_data.tnsr", "--mask", prefix + "_mask.msk", "--k", "2",
-     "--lambda", "0.1", "--tmax", "5", "--out", prefix + "_est"],
-    ["eval", "--truth", prefix + "_truth.tnsr", "--estimate", prefix + "_est.tnsr",
-     "--mask", prefix + "_mask.msk"],
-):
-    assert cli.main(argv) == 0, argv
-stages["gen, lrtc and eval commands"] = loaded()
 
-run_single = harness.run_single
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
 
-def checked_run_single(spec, seed, lam, timing=True):
-    if loaded() != (spec.task == "trpca"):
-        raise RuntimeError(f"scipy.linalg loaded={loaded()} in a {spec.task} worker")
-    return run_single(spec, seed, lam, timing)
+def checked_sweep(task, **extra):
+    run_single = harness.run_single
 
-harness.run_single = checked_run_single
-small = dict(shape=(5, 5, 5), true_rank=1, seeds=(0, 1), lambdas=(0.0, 0.5), t_max=5)
-csv = harness.run_experiment(harness.ExperimentSpec(task="lrtc", **small), timing=False)
-assert "Error" not in csv, csv
-stages["completion run_experiment"] = loaded()
-csv = harness.run_experiment(
-    harness.ExperimentSpec(task="trpca", sparse_density=0.1, **small), timing=False
-)
-assert "Error" not in csv, csv
-stages["robust-PCA run_experiment"] = loaded()
+    def checked_run_single(spec, seed, lam, timing=True):
+        want = {"scipy": task == "lrtc", "scipy.sparse": task == "lrtc", "scipy.linalg": False}
+        if loaded() != want:
+            raise RuntimeError(f"a {task} worker starts with {loaded()}")
+        return run_single(spec, seed, lam, timing)
+
+    harness.run_single = checked_run_single
+    small = dict(shape=(5, 5, 5), true_rank=1, seeds=(0, 1), lambdas=(0.0, 0.5), t_max=5)
+    csv = harness.run_experiment(harness.ExperimentSpec(task=task, **small, **extra),
+                                 timing=False)
+    assert "Error" not in csv, csv
+    harness.run_single = run_single
+
+if child == "commands":
+    lrtc, rob = work + "/toy", work + "/rob"
+    run("gen", "--task", "lrtc", "--shape", "6x6x6", "--rank", "1", "--missing-rate", "0.3",
+        "--out", lrtc)
+    run("gen", "--task", "trpca", "--shape", "6x6x6", "--rank", "1", "--out", rob)
+    stages["gen command"] = loaded()
+    run("eval", "--truth", lrtc + "_truth.tnsr", "--estimate", lrtc + "_data.tnsr",
+        "--mask", lrtc + "_mask.msk")
+    stages["eval command"] = loaded()
+    for solver_args in ((), ("--q", "0.5"), ("--reg", "sym:p=0.6667")):
+        run("trpca", "--data", rob + "_data.tnsr", "--k", "2", "--lambda-x", "0.1",
+            "--lambda-e", "0.1", "--tmax", "5", "--out", rob + "_est", *solver_args)
+    stages["trpca command"] = loaded()
+    run("lrtc", "--data", lrtc + "_data.tnsr", "--mask", lrtc + "_mask.msk", "--k", "2",
+        "--lambda", "0.1", "--tmax", "5", "--out", lrtc + "_est")
+    stages["lrtc command"] = loaded()
+elif child == "robust PCA":
+    checked_sweep("trpca", sparse_density=0.1)
+    checked_sweep("trpca", sparse_density=0.1, q=0.5)
+    checked_sweep("trpca", sparse_density=0.1, reg="sym:p=0.6667")
+    stages["robust-PCA run_experiment"] = loaded()
+else:
+    checked_sweep("lrtc")
+    stages["completion run_experiment"] = loaded()
 print(json.dumps(stages))
 """
+
+NONE = {"scipy": False, "scipy.sparse": False, "scipy.linalg": False}
+SPARSE = {"scipy": True, "scipy.sparse": True, "scipy.linalg": False}
 
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
+    """Each child's stages, each child in its own fresh interpreter."""
     work = tmp_path_factory.mktemp("imports")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(work)], capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    out = {}
+    for child in ("commands", "robust PCA", "completion sweep"):
+        proc = subprocess.run([sys.executable, "-c", SCRIPT, child, str(work)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out[child] = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out
 
 
-@pytest.mark.parametrize(
-    "stage", ["import tensorenr", "gen, lrtc and eval commands", "completion run_experiment"]
-)
-def test_completion_never_loads_scipy_linalg(stages, stage):
-    assert stages[stage] is False
+@pytest.mark.parametrize("child, stage", [
+    ("commands", "import tensorenr"),
+    ("commands", "gen command"),
+    ("commands", "eval command"),
+    ("commands", "trpca command"),
+    ("robust PCA", "import tensorenr"),
+    ("robust PCA", "robust-PCA run_experiment"),
+])
+def test_numpy_alone(stages, child, stage):
+    assert stages[child][stage] == NONE
 
 
-def test_robust_pca_loads_scipy_linalg_before_forking(stages):
-    assert stages["robust-PCA run_experiment"] is True
+def test_lrtc_command_loads_scipy_sparse(stages):
+    assert stages["commands"]["lrtc command"] == SPARSE
 
 
-def test_robust_pca_solve_loads_scipy_linalg():
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from tensorenr.trpca import TrpcaConfig, trpca_solve\n"
-        "before = 'scipy.linalg' in sys.modules\n"
-        "data = np.random.default_rng(0).standard_normal((4, 5, 6))\n"
-        "trpca_solve(data, TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, t_max=3))\n"
-        "print(before, 'scipy.linalg' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+def test_completion_sweep_loads_scipy_sparse_before_forking(stages):
+    # the workers' own check fails a cell if they start without it
+    assert stages["completion sweep"]["import tensorenr"] == NONE
+    assert stages["completion sweep"]["completion run_experiment"] == SPARSE

@@ -137,11 +137,13 @@ class TestXUpdate:
 class TestSolveRight:
     @pytest.mark.parametrize("n, k", [(4, 1), (7, 3), (30, 10)])
     def test_spd_matches_scipy_cholesky(self, n, k):
+        # an LU solve rounds differently from a Cholesky solve
         rng = np.random.default_rng(n)
         kr = rng.standard_normal((n * n, k))
         gram = kr.T @ kr + 0.1 * np.eye(k)
         rhs = rng.standard_normal((n, k))
-        assert np.array_equal(_solve_right(gram, rhs), cho_solve(cho_factor(gram), rhs.T).T)
+        want = cho_solve(cho_factor(gram), rhs.T).T
+        np.testing.assert_allclose(_solve_right(gram, rhs), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "gram",
@@ -157,6 +159,18 @@ class TestSolveRight:
         rhs = np.random.default_rng(1).standard_normal((3, 2))
         with pytest.raises(np.linalg.LinAlgError):
             cho_factor(gram)
+        want = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
+        assert np.array_equal(_solve_right(gram, rhs), want)
+
+    def test_singular_after_passing_cholesky_falls_back_to_lstsq(self):
+        # outer([sqrt(5), 1/sqrt(5)]): rank one, yet its rounded Cholesky
+        # factor has a positive second pivot, while LU's second pivot
+        # 0.2 - (1/5)*1 is exactly zero
+        gram = np.array([[5.0, 1.0], [1.0, 0.2]])
+        rhs = np.random.default_rng(1).standard_normal((3, 2))
+        np.linalg.cholesky(gram)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, rhs.T)
         want = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
         assert np.array_equal(_solve_right(gram, rhs), want)
 
@@ -179,6 +193,14 @@ class TestSolveRight:
         (gram if where == "gram" else rhs)[1, 1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             _solve_right(gram, rhs)
+
+    @pytest.mark.parametrize("where", ["gram", "rhs"])
+    def test_non_finite_input_is_a_numeric_failure(self, where):
+        gram, rhs = 2.0 * np.eye(2), np.ones((3, 2))
+        (gram if where == "gram" else rhs)[0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs") as info:
+            _solve_right(gram, rhs)
+        assert type(info.value) is np.linalg.LinAlgError
 
     def test_empty_system(self):
         assert _solve_right(np.zeros((0, 0)), np.zeros((3, 0))).shape == (3, 0)
@@ -307,10 +329,16 @@ class TestAsymSolve:
         assert reg_value(f, spec) == pytest.approx(spec.effective_p * manual, rel=1e-12)
 
     def test_rejects_bad_q(self):
-        for q in (0.0, 1.0, 2.0, -0.5):
-            cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, q=q, solver="asym")
-            with pytest.raises(ValueError):
-                trpca_asym_solve(np.zeros((3, 3, 3)), cfg)
+        for q in (0.0, 1.0, 2.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
+                TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, q=q, solver="asym")
+
+    def test_rejects_q_that_differs_from_the_spec(self):
+        spec = RegularizerSpec("asym_b", 3, q=0.5)
+        with pytest.raises(ValueError, match="differs from the q of regularizer asym_b:q=0.5"):
+            TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=spec, q=0.3, solver="asym")
+        cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=spec, q=0.5, solver="asym")
+        assert cfg.q == spec.q
 
     def test_q_taken_from_spec(self):
         data = clean_rank_one((6, 6, 6), 16)
