@@ -102,7 +102,6 @@ def _csr_matrix():
     when the first kernel is built. ``harness.run_experiment`` calls this
     before it forks completion workers, so they inherit the module."""
     from scipy.sparse import csr_matrix
-
     return csr_matrix
 
 

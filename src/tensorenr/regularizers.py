@@ -270,13 +270,15 @@ def prox_ridge_scale(matrix, lipschitz, lam):
     return (lipschitz / (lipschitz + 2.0 * lam)) * y
 
 
-def soft_threshold_elem(tensor, lam):
+def soft_threshold_elem(tensor, lam, out=None):
     """Elementwise soft threshold sign(v) * max(|v| - lam, 0), computed as
-    v - clip(v, -lam, lam); entries inside the band come out as +0.0."""
+    v - clip(v, -lam, lam); entries inside the band come out as +0.0. The
+    result goes into `out` when given (it must not be `tensor`)."""
     if not lam >= 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     t = np.asarray(tensor, dtype=np.float64)
-    return t - np.clip(t, -lam, lam)
+    band = np.clip(t, -lam, lam, out=out)
+    return np.subtract(t, band, out=band)
 
 
 def _prox_radial(matrix, exponent, tau, max_steps=64):

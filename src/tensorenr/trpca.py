@@ -175,7 +175,8 @@ def _fit(data, factors):
     F_0 KR^T is already the C-ordered tensor: no fold, and the subtraction
     reads two C-ordered arrays."""
     kr = khatri_rao(factors[::-1], skip=len(factors) - 1)
-    return data - (factors[0] @ kr.T).reshape(data.shape)
+    fit = (factors[0] @ kr.T).reshape(data.shape)
+    return np.subtract(data, fit, out=fit)
 
 
 def _objective(fit, factors, sparse, terms, lam_x, lam_e):
@@ -184,8 +185,9 @@ def _objective(fit, factors, sparse, terms, lam_x, lam_e):
     product. The l1 norm of the sparse term is a numpy sum, not a BLAS asum,
     whose rounding depends on the alignment of the buffer."""
     res = (fit - sparse).ravel()
+    sq = float(res @ res)
     pen = _value_from_norms([np.linalg.norm(f, axis=0) for f in factors], terms)
-    return 0.5 * float(res @ res) + lam_x * pen + lam_e * float(np.abs(sparse).sum())
+    return 0.5 * sq + lam_x * pen + lam_e * float(np.abs(sparse.ravel(), out=res).sum())
 
 
 def _ridge_updates(target, factors, modes, ridge):
@@ -269,6 +271,8 @@ def _drive(data, config, split, terms, sweep):
     aux = [factors[j].copy() for j in split]
     duals = [np.zeros_like(factors[j]) for j in split]
     sparse = np.zeros(data.shape)
+    # two buffers take turns holding the sparse term: no tensor per iteration
+    spare = np.empty(data.shape)
     fit = _fit(data, factors)
 
     run = _Run()
@@ -280,7 +284,8 @@ def _drive(data, config, split, terms, sweep):
         prev_factors = list(factors)
         prev_sparse = sparse
         fit = sweep(sparse, factors, aux, duals)
-        sparse = soft_threshold_elem(fit, config.lam_e)
+        sparse = soft_threshold_elem(fit, config.lam_e, out=spare)
+        spare = prev_sparse
 
         pruned = False
         if aux:
