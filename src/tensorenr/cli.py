@@ -29,7 +29,7 @@ from .harness import (
     relative_error,
     run_experiment,
 )
-from .lrtc import LrtcConfig, solve as lrtc_solve
+from .lrtc import LrtcConfig, _csr_matrix, solve as lrtc_solve
 from .regularizers import RegularizerSpec
 from .tensorio import FormatError, read_mask, read_tensor, write_mask, write_tensor
 from .trpca import TrpcaConfig, solver_for, sparsity_summary, trpca_solve
@@ -135,6 +135,7 @@ def _cmd_gen(args):
 
 
 def _cmd_lrtc(args):
+    _csr_matrix()  # before the tensors, so its import does not fragment the heap
     data = read_tensor(args.data)
     mask = read_mask(args.mask)
     reg = RegularizerSpec.parse(args.reg, data.ndim)

@@ -98,9 +98,9 @@ def _cpus():
 
 @functools.cache
 def _csr_matrix():
-    """``scipy.sparse.csr_matrix``, the package's one scipy import, loaded
-    when the first kernel is built. ``harness.run_experiment`` calls this
-    before it forks completion workers, so they inherit the module."""
+    """``scipy.sparse.csr_matrix``, the package's one scipy import, loaded on
+    first use: by the first kernel, by the ``lrtc`` command before it reads its
+    tensors, and by ``harness.run_experiment`` before it forks completion workers."""
     from scipy.sparse import csr_matrix
     return csr_matrix
 

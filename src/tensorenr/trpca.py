@@ -105,11 +105,10 @@ def _check_data(data):
 
 
 def _solve_right(gram, rhs):
-    """Solve X @ gram = rhs for X, for the symmetric k x k `gram`: a
-    Cholesky factorization tests positive definiteness and an LU solve
-    answers; if either finds `gram` singular (a Cholesky can pass where LU
-    meets an exact zero pivot), least squares does. Non-finite input
-    raises LinAlgError, a numeric failure."""
+    """Solve X @ gram = rhs for X, for the symmetric k x k `gram`: a Cholesky
+    factorization tests positive definiteness and an LU solve answers; if either
+    finds `gram` singular (a Cholesky can pass where LU meets an exact zero
+    pivot), least squares does. Non-finite input raises LinAlgError."""
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise np.linalg.LinAlgError("array must not contain infs or NaNs")
     try:
