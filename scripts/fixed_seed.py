@@ -31,9 +31,9 @@ solvers admm, asym and als, lam_x 0.1 and 5.0, and the c8
 arms and an als arm with its default ``sym:p=2/d``, lam_e 0.1 and 0,
 ten seeds), so every solver runs through ``run_single``. It also runs the
 gate's c4 cells for all three solvers: clean rank-one 10x10x10 data,
-k_init 2, lam_x 0 and lam_e 1e6. With no ridge, the normal equations of
-a mode update there can be singular, so these cells take the
-least-squares fallback of the block solve.
+k_init 2, lam_x 0 and lam_e 1e6. Without a ridge, the als cell's normal
+equations turn singular, so some of its block solves take the
+least-squares fallback.
 
 A solver cell is "identical" when its factors, ``recovered``, rank and
 objective traces, iteration count and ``converged`` (and for robust PCA
