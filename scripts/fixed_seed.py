@@ -33,7 +33,13 @@ ten seeds), so every solver runs through ``run_single``. It also runs the
 gate's c4 cells for all three solvers: clean rank-one 10x10x10 data,
 k_init 2, lam_x 0 and lam_e 1e6. Without a ridge, the als cell's normal
 equations turn singular, so some of its block solves take the
-least-squares fallback.
+least-squares fallback. Last, it writes a c8 instance (seed 0) to a
+temporary directory with the ``gen`` command and runs the ``trpca``
+command on it (k 10, lambda-x 0.1, lambda-e 0.1, seed 0) with three flag
+selections: none (admm), ``--reg sym:p=0.6667`` (als) and ``--q 0.5``
+(asym). The ``gen`` files, and each selection's estimate and sparse-term
+files, trace CSV without its seconds column and printed summary, are
+compared as bytes.
 
 A solver cell is "identical" when its factors, ``recovered``, rank and
 objective traces, iteration count and ``converged`` (and for robust PCA
@@ -41,16 +47,19 @@ the sparse term) are exactly equal. It "differs by rounding" when the
 rank traces, iteration counts and ``converged`` match and the largest
 deviations of ``recovered`` and of the objective trace, each relative to
 the largest magnitude in the base's array, are at most 1e-12. Anything
-else, and any CSV that is not byte-identical, "DIFFERS". For a solver
+else, and any CSV or file that is not byte-identical, "DIFFERS". For a solver
 cell that is not identical, the line also gives the size of the
 difference: the largest relative deviation of ``recovered``, of the
 factors and of the objective trace (``n/a`` when the shapes differ), and
 whether the rank traces, iteration counts and ``converged`` match. For a
-CSV that differs it gives the number of differing lines. Prints one line
+CSV or file that differs it gives the number of differing lines
+(newline-separated chunks of a binary file). Prints one line
 per cell and exits non-zero if any cell differs beyond rounding.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import pickle
 import subprocess
@@ -85,6 +94,8 @@ LARGE = dict(task="lrtc", shape=(100, 100, 100), true_rank=5, k_init=10, noise_l
              missing_rate=0.9, reg="sym:p=0.3333", solver="bcde", t_max=100)
 
 ARMS = {"admm": dict(reg="sym:p=0.3333"), "asym": dict(q=0.5), "als": {}}
+COMMAND_FLAGS = {"no flags": (), "--reg sym:p=0.6667": ("--reg", "sym:p=0.6667"),
+                 "--q 0.5": ("--q", "0.5")}
 SEEDS = (0, 1)
 LAMBDAS = (0.1, 5.0)
 
@@ -158,6 +169,42 @@ def dump_trpca():
                           rng_seed=6, **arm)
         rep, sparse = trpca_solve(truth, cfg)
         out[f"c4 {solver} lam_x=0.0"] = answers(rep, sparse=sparse)
+    with tempfile.TemporaryDirectory() as tmp:
+        out.update(trpca_command(Path(tmp)))
+    return out
+
+
+def trpca_command(tmp):
+    """The ``gen`` files of the c8 instance written under `tmp` and, for each
+    selection in ``COMMAND_FLAGS``, the ``trpca`` command's outputs."""
+    from tensorenr import cli
+
+    def run(*argv):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            rc = cli.main(list(argv))
+        if rc != 0:
+            raise RuntimeError(f"tensorenr {argv[0]} exited with {rc}")
+        return printed.getvalue()
+
+    out = {}
+    run("gen", "--task", "trpca", "--shape", "x".join(map(str, C8["shape"])),
+        "--rank", str(C8["true_rank"]), "--noise", str(C8["noise_level"]),
+        "--density", str(C8["sparse_density"]), "--weights", C8["weights_mode"],
+        "--seed", "0", "--out", str(tmp / "c8"))
+    for part in ("truth", "data", "sparse"):
+        out[f"c8 gen {part}.tnsr"] = (tmp / f"c8_{part}.tnsr").read_bytes()
+    for label, flags in COMMAND_FLAGS.items():
+        prefix = tmp / label.replace(" ", "_")
+        summary = run("trpca", "--data", str(tmp / "c8_data.tnsr"), "--k", str(C8["k_init"]),
+                      "--lambda-x", "0.1", "--lambda-e", "0.1", "--seed", "0", *flags,
+                      "--out", str(prefix))
+        name = f"trpca command {label}"
+        out[f"{name} estimate"] = Path(f"{prefix}.tnsr").read_bytes()
+        out[f"{name} sparse"] = Path(f"{prefix}_sparse.tnsr").read_bytes()
+        trace = Path(f"{prefix}_trace.csv").read_text().splitlines()
+        out[f"{name} trace"] = "\n".join(row.rsplit(",", 1)[0] for row in trace)
+        out[f"{name} summary"] = summary
     return out
 
 

@@ -32,7 +32,7 @@ from .harness import (
 from .lrtc import LrtcConfig, _csr_matrix, solve as lrtc_solve
 from .regularizers import RegularizerSpec
 from .tensorio import FormatError, read_mask, read_tensor, write_mask, write_tensor
-from .trpca import TrpcaConfig, solver_for, sparsity_summary, trpca_solve
+from .trpca import TrpcaConfig, sparsity_summary, trpca_solve
 
 
 class UsageError(Exception):
@@ -90,7 +90,7 @@ def build_parser():
     trpca.add_argument("--lambda-x", dest="lam_x", type=float, required=True)
     trpca.add_argument("--lambda-e", dest="lam_e", type=float, required=True)
     trpca.add_argument("--mu", type=float, default=TrpcaConfig.mu)
-    trpca.add_argument("--reg", default="sym")
+    trpca.add_argument("--reg", default=None)
     trpca.add_argument("--q", type=float, default=None)
     trpca.add_argument("--tmax", type=int, default=TrpcaConfig.t_max)
     trpca.add_argument("--seed", type=int, default=0)
@@ -114,10 +114,10 @@ def _cmd_gen(args):
         shape=_parse_shape(args.shape),
         true_rank=args.rank,
         noise_level=args.noise,
-        missing_rate=args.missing_rate,
-        sparse_density=args.density,
         weights_mode=args.weights,
-        corruption=args.corruption,
+        # the spec refuses a setting its task does not read
+        **(dict(missing_rate=args.missing_rate) if args.task == "lrtc"
+           else dict(sparse_density=args.density, corruption=args.corruption)),
     )
     if args.task == "lrtc":
         truth, data, mask = gen_lrtc_data(spec, args.seed)
@@ -164,15 +164,13 @@ def _cmd_lrtc(args):
 
 def _cmd_trpca(args):
     data = read_tensor(args.data)
-    # --reg has a default, so a given --q wins whatever it says
-    reg = None if args.q is not None else RegularizerSpec.parse(args.reg, data.ndim)
+    reg = None if args.reg is None else RegularizerSpec.parse(args.reg, data.ndim)
     cfg = TrpcaConfig(
         k_init=args.k,
         lam_x=args.lam_x,
         lam_e=args.lam_e,
         spec=reg,
         q=args.q,
-        solver=solver_for(reg, args.q),
         mu=args.mu,
         t_max=args.tmax,
         rng_seed=args.seed,

@@ -27,7 +27,7 @@ import multiprocessing
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,12 +103,17 @@ class ExperimentSpec:
     default 20-point log grid is used. ``reg`` accepts either a
     :class:`RegularizerSpec` or grammar text like ``sym:p=0.3333``.
 
-    A robust-PCA solver follows the ``trpca`` command's one pairing rule,
-    :func:`trpca.solver_for` (``q`` selects asym, else ``reg`` picks); a
-    named solver without ``reg`` gets its default one (none for asym), and
-    settings that pair with another solver raise ValueError. The cells'
-    configs come from :meth:`solver_config`, which runs for each lambda
-    when the spec is built, so bad settings raise before any cell runs.
+    A robust-PCA spec without ``solver`` takes the one
+    :func:`trpca.solver_for` picks (``q`` selects asym, else ``reg``
+    picks), and a solver without ``reg`` gets its default one (``sym``
+    with column exponent 1 for admm and 2 for als, none for asym). The
+    cells' configs come from :meth:`solver_config`, which runs for each
+    lambda when the spec is built, so settings the config refuses, such as
+    a robust-PCA solver that does not pair with ``reg`` and ``q``, raise
+    ValueError before any cell runs. So does a setting the task does not
+    read when it differs from its default: ``q``, ``mu``, ``lambda_e``,
+    ``sparse_density`` and ``corruption`` for ``lrtc``, and ``rho``,
+    ``delta`` and ``missing_rate`` for ``trpca``.
     """
 
     task: str
@@ -134,6 +139,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.task not in ("lrtc", "trpca"):
             raise ValueError(f"task must be 'lrtc' or 'trpca', got {self.task!r}")
+        unread = {"lrtc": ("q", "mu", "lambda_e", "sparse_density", "corruption"),
+                  "trpca": ("rho", "delta", "missing_rate")}[self.task]
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"task {self.task} does not read {f.name}; "
+                                 f"got {getattr(self, f.name)!r}, leave it at {f.default!r}")
         self.shape = tuple(int(n) for n in self.shape)
         if self.true_rank < 1:
             raise ValueError(f"true_rank must be >= 1, got {self.true_rank}")
@@ -160,13 +171,6 @@ class ExperimentSpec:
         if self.reg is None and self.solver != "asym":
             power = 2.0 if self.solver == "als" else 1.0
             self.reg = RegularizerSpec("sym", order, p=power / order)
-        # the rule must give the solver back, and a reg must pair with it
-        if self.task == "trpca" and (
-            solver_for(self.reg, self.q) != self.solver
-            or self.reg is not None and solver_for(self.reg) != self.solver
-        ):
-            raise ValueError(f"solver {self.solver!r} does not fit regularizer "
-                             f"{self.reg and self.reg.label()} with q={self.q}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")

@@ -22,8 +22,9 @@ scaled by s:
   objective is monotone because every block update is an exact minimizer.
 
 :func:`solver_for` holds the one pairing rule: q selects asym, else the
-regularizer picks. The ``trpca`` command and ``harness.ExperimentSpec``
-pick their solver by it; admm and als reject a ``spec`` it pairs elsewhere.
+regularizer picks. :class:`TrpcaConfig` applies it once: it derives the
+solver when none is named and refuses a solver, ``spec`` and ``q`` that
+the rule does not pair, so each solver reads a config resolved for it.
 
 The three share one driver loop and differ only in their sweep, in which
 modes are split and in the per-mode penalty terms. The ADMM and ALS
@@ -57,14 +58,22 @@ from .regularizers import (
 
 @dataclass
 class TrpcaConfig:
-    """Settings for the robust PCA solvers."""
+    """Settings for the robust PCA solvers.
+
+    ``solver``, when not named, is :func:`solver_for` of ``spec`` and
+    ``q``, and an ``asym_b`` spec without ``q`` supplies its q. The three
+    must then pair: ``q`` is set exactly when the solver is asym, and a
+    given ``spec`` is one that :func:`solver_for` pairs with the solver.
+    Otherwise ValueError names the solver. The solvers read ``q``, never
+    ``spec``.
+    """
 
     k_init: int
     lam_x: float
     lam_e: float
     spec: RegularizerSpec | None = None
     q: float | None = None
-    solver: str = "admm"
+    solver: str | None = None
     mu: float = 10.0
     t_max: int = 500
     conv_tol: float = 1e-8
@@ -78,6 +87,8 @@ class TrpcaConfig:
             raise ValueError(f"k_init must be >= 1, got {self.k_init}")
         if self.lam_x < 0 or self.lam_e < 0:
             raise ValueError("penalty weights must be non-negative")
+        if self.solver is None:
+            self.solver = solver_for(self.spec, self.q)
         if self.solver not in ("admm", "asym", "als"):
             raise ValueError(f"solver must be admm, asym or als, got {self.solver!r}")
         if self.mu <= 0:
@@ -86,11 +97,22 @@ class TrpcaConfig:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.conv_tol < 0:
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
+        if self.q is None and self.spec is not None and self.spec.kind == "asym_b":
+            self.q = self.spec.q
         if self.q is not None and not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
         if (self.q is not None and self.spec is not None and self.spec.kind == "asym_b"
                 and not math.isclose(self.q, self.spec.q, rel_tol=1e-6)):
             raise ValueError(f"q={self.q} differs from the q of regularizer {self.spec.label()}")
+        if (self.q is not None) != (self.solver == "asym") or (
+                self.spec is not None and solver_for(self.spec) != self.solver):
+            raise ValueError(f"solver {self.solver!r} does not fit regularizer "
+                             f"{self.spec and self.spec.label()} with q={self.q}")
+
+
+def _check_solver(config, solver):
+    if config.solver != solver:
+        raise ValueError(f"the config is resolved for the {config.solver} solver, not {solver}")
 
 
 def _check_data(data):
@@ -235,11 +257,11 @@ def solver_for(spec=None, q=None):
     asym; otherwise `spec` picks admm for ``sym`` with column exponent 1,
     als for ``sym`` with exponent 2 and asym for ``asym_b`` with q in
     (0, 1), and no `spec` (the default ``sym:p=1/d``) picks admm. Raises
-    ValueError for any other `spec`."""
+    ValueError for any other `spec`. :class:`TrpcaConfig` applies it."""
     if q is not None:
         return "asym"
     if spec is None:
-        return TrpcaConfig.solver
+        return "admm"
     if spec.kind == "asym_b" and spec.q < 1.0:
         return "asym"
     if spec.kind == "sym":
@@ -316,9 +338,8 @@ def trpca_admm_solve(data, config):
     unaugmented objective at the factor iterates; it is reported, not
     guaranteed monotone.
     """
+    _check_solver(config, "admm")
     d = _check_data(data)
-    if config.spec is not None and solver_for(config.spec) != "admm":
-        raise ValueError(f"the admm solver does not fit regularizer {config.spec.label()}")
     lam_x, mu = config.lam_x, config.mu
 
     def sweep(sparse, factors, aux, duals):
@@ -332,13 +353,9 @@ def trpca_asym_solve(data, config):
     penalties on the remaining modes: lam_x weighs reg_value(F, asym_b:q)
     / p_eff, that is sum ||x^(0)||^q / q + sum_{j>0} ||x^(j)||^2 / 2.
     Returns (report, sparse_term)."""
+    _check_solver(config, "asym")
     d = _check_data(data)
-    q = config.q
-    if q is None and config.spec is not None and config.spec.kind == "asym_b":
-        q = config.spec.q
-    if q is None or not 0.0 < q < 1.0:
-        raise ValueError(f"trpca_asym_solve requires q in (0, 1), got {q}")
-    lam_x, mu = config.lam_x, config.mu
+    q, lam_x, mu = config.q, config.lam_x, config.mu
 
     def sweep(sparse, factors, aux, duals):
         aux[0], duals[0], fit = _asym_sweep(d, sparse, factors, aux[0], duals[0], q, lam_x, mu)
@@ -353,9 +370,8 @@ def trpca_als_solve(data, config):
     penalty: lam_x weighs reg_value(F, sym:p=2/d), the sum of squared
     column norms divided by d. Returns (report, sparse_term); the
     objective trace is monotone non-increasing."""
+    _check_solver(config, "als")
     d = _check_data(data)
-    if config.spec is not None and solver_for(config.spec) != "als":
-        raise ValueError(f"the als solver does not fit regularizer {config.spec.label()}")
 
     def sweep(sparse, factors, aux, duals):
         return _als_sweep(d, sparse, factors, config.lam_x)

@@ -201,8 +201,8 @@ class TestTrpcaCommand:
     ])
     def test_one_pairing_of_regularizer_and_solver(self, trpca_data, tmp_path, capsys, reg,
                                                    solver):
-        # solver_for, the trpca command and the admm and als solvers agree
-        # on which regularizer each solver takes
+        # solver_for, the trpca command and TrpcaConfig with the admm and
+        # als solvers agree on which regularizer each solver takes
         spec = RegularizerSpec.parse(reg, 3)
         if solver is None:
             with pytest.raises(ValueError, match="solver"):
@@ -218,12 +218,36 @@ class TestTrpcaCommand:
             assert "solver" in capsys.readouterr().err
         data = read_tensor(trpca_data)
         for name in ("admm", "als"):
-            cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.3, spec=spec, solver=name, t_max=5)
+            settings = dict(k_init=2, lam_x=0.1, lam_e=0.3, spec=spec, solver=name, t_max=5)
             if name == solver:
-                trpca_solve(data, cfg)
+                trpca_solve(data, TrpcaConfig(**settings))
             else:
                 with pytest.raises(ValueError):
-                    trpca_solve(data, cfg)
+                    trpca_solve(data, TrpcaConfig(**settings))
+
+    def test_reg_applies_only_when_given(self, trpca_data, tmp_path, capsys):
+        # --reg joins --q in the pairing rule instead of being dropped, and
+        # leaving both out is the admm default
+        def outputs(name, *flags):
+            out = str(tmp_path / name)
+            rc = run_cli("trpca", "--data", trpca_data, "--k", "2", "--lambda-x", "0.05",
+                         "--lambda-e", "0.3", "--tmax", "10", *flags, "--out", out)
+            if rc:
+                return rc
+            rows = (tmp_path / f"{name}_trace.csv").read_text().splitlines()
+            trace = [row.rsplit(",", 1)[0] for row in rows]
+            return read_tensor(f"{out}.tnsr"), read_tensor(f"{out}_sparse.tnsr"), trace
+
+        assert outputs("x", "--q", "0.5", "--reg", "sym:p=0.6667") == 1
+        assert "solver 'asym' does not fit regularizer sym:p=0.6667" in capsys.readouterr().err
+        assert outputs("x", "--q", "0.3", "--reg", "asym_b:q=0.5") == 1
+        assert "differs from the q of regularizer" in capsys.readouterr().err
+        for a, b in (
+            (outputs("by_q", "--q", "0.5"), outputs("both", "--q", "0.5", "--reg", "asym_b:q=0.5")),
+            (outputs("plain"), outputs("sym", "--reg", "sym")),
+        ):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            assert a[2] == b[2]
 
     def test_lapack_failure_is_numeric_failure(self, trpca_data, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must not read as a usage error
@@ -352,6 +376,8 @@ class TestSweepCommand:
         ("trpca", "solver=asym\nq=0.5\nreg=sym:p=0.3333", "solver 'asym' does not fit"),
         ("trpca", "q=1.5", "q must be in (0, 1), got 1.5"),
         ("trpca", "q=0.3\nreg=asym_b:q=0.5", "q=0.3 differs from the q of regularizer"),
+        ("lrtc", "q=0.3", "task lrtc does not read q"),
+        ("trpca", "rho=2", "task trpca does not read rho"),
     ])
     def test_bad_solver_setting_exits_before_any_cell(self, tmp_path, capsys, task, line,
                                                       message):

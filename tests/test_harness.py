@@ -250,6 +250,24 @@ class TestExperimentSpec:
                 ExperimentSpec(task="trpca", shape=(4, 4, 4), true_rank=1, **bad)
 
 
+@pytest.mark.parametrize("task, name, value", [
+    ("lrtc", "q", 0.5),
+    ("lrtc", "mu", 5.0),
+    ("lrtc", "lambda_e", 0.2),
+    ("lrtc", "sparse_density", 0.1),
+    ("lrtc", "corruption", "replace"),
+    ("trpca", "rho", 2.0),
+    ("trpca", "delta", 0.5),
+    ("trpca", "missing_rate", 0.3),
+])
+def test_setting_the_task_does_not_read_is_refused(task, name, value):
+    with pytest.raises(ValueError, match=f"task {task} does not read {name}"):
+        ExperimentSpec(task=task, shape=(4, 4, 4), true_rank=1, **{name: value})
+    # its default, spelled out, is accepted
+    ExperimentSpec(task=task, shape=(4, 4, 4), true_rank=1,
+                   **{name: ExperimentSpec.__dataclass_fields__[name].default})
+
+
 def test_empty_lambda_grid_rejected():
     # an empty grid has no cell to run: refused before any pool starts
     with pytest.raises(ValueError, match="lambdas must be non-empty"):

@@ -395,8 +395,8 @@ class TestAlsSolve:
             assert np.all(np.diff(rep.objective_trace) <= 1e-10)
 
     def test_rejects_wrong_spec(self):
-        cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=SYM_E1, solver="als")
         with pytest.raises(ValueError):
+            cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=SYM_E1, solver="als")
             trpca_als_solve(np.zeros((3, 3, 3)), cfg)
 
 
@@ -424,6 +424,36 @@ class TestDispatchAndConfig:
             TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, mu=0.0)
         with pytest.raises(ValueError):
             TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, solver="sgd")
+
+    def test_config_derives_the_solver(self):
+        # the pairing rule picks the solver a config leaves unnamed
+        assert TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, q=0.5).solver == "asym"
+        assert TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=SYM_E2).solver == "als"
+        assert TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1).solver == "admm"
+
+    @pytest.mark.parametrize("settings", [
+        dict(solver="admm", q=0.5),
+        dict(solver="als", q=0.5),
+        dict(solver="asym", q=0.5, spec=SYM_E1),
+        dict(solver="asym"),
+        dict(spec=RegularizerSpec("table2", 3, variant="s12")),
+    ])
+    def test_config_rejects_settings_that_do_not_pair(self, settings):
+        with pytest.raises(ValueError, match="solver"):
+            TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, **settings)
+
+    @pytest.mark.parametrize("solve, settings", [
+        (trpca_admm_solve, dict(solver="als")),
+        (trpca_admm_solve, dict(q=0.5)),
+        (trpca_asym_solve, dict(solver="admm")),
+        (trpca_asym_solve, dict(solver="als")),
+        (trpca_als_solve, dict(solver="admm")),
+        (trpca_als_solve, dict(q=0.5)),
+    ])
+    def test_solver_refuses_another_solvers_config(self, solve, settings):
+        cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, t_max=1, **settings)
+        with pytest.raises(ValueError, match=f"resolved for the {cfg.solver} solver"):
+            solve(clean_rank_one((3, 3, 3), 24), cfg)
 
     @pytest.mark.parametrize("field", ["lam_x", "lam_e", "mu", "conv_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
