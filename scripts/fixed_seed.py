@@ -94,8 +94,7 @@ LARGE = dict(task="lrtc", shape=(100, 100, 100), true_rank=5, k_init=10, noise_l
              missing_rate=0.9, reg="sym:p=0.3333", solver="bcde", t_max=100)
 
 ARMS = {"admm": dict(reg="sym:p=0.3333"), "asym": dict(q=0.5), "als": {}}
-COMMAND_FLAGS = {"no flags": (), "--reg sym:p=0.6667": ("--reg", "sym:p=0.6667"),
-                 "--q 0.5": ("--q", "0.5")}
+COMMAND_FLAGS = ((), ("--reg", "sym:p=0.6667"), ("--q", "0.5"))
 SEEDS = (0, 1)
 LAMBDAS = (0.1, 5.0)
 
@@ -194,12 +193,12 @@ def trpca_command(tmp):
         "--seed", "0", "--out", str(tmp / "c8"))
     for part in ("truth", "data", "sparse"):
         out[f"c8 gen {part}.tnsr"] = (tmp / f"c8_{part}.tnsr").read_bytes()
-    for label, flags in COMMAND_FLAGS.items():
-        prefix = tmp / label.replace(" ", "_")
+    for i, flags in enumerate(COMMAND_FLAGS):
+        prefix = tmp / f"dec{i}"
         summary = run("trpca", "--data", str(tmp / "c8_data.tnsr"), "--k", str(C8["k_init"]),
                       "--lambda-x", "0.1", "--lambda-e", "0.1", "--seed", "0", *flags,
                       "--out", str(prefix))
-        name = f"trpca command {label}"
+        name = f"trpca command {' '.join(flags) or 'no flags'}"
         out[f"{name} estimate"] = Path(f"{prefix}.tnsr").read_bytes()
         out[f"{name} sparse"] = Path(f"{prefix}_sparse.tnsr").read_bytes()
         trace = Path(f"{prefix}_trace.csv").read_text().splitlines()
