@@ -233,7 +233,7 @@ def _asym_sweep(data, sparse, factors, aux0, dual0, q, lam_x, mu):
     """One full iteration of the mode-0 splitting solver. Returns the new
     (aux0, dual0) and the fit D - CP(F)."""
     factors[0] = trpca_x_update(data, sparse, factors, aux0, dual0, 0, mu)
-    aux0 = prox_irls(factors[0] - dual0 / mu, q, lam_x / mu)
+    aux0 = prox_irls(factors[0] - dual0 / mu, q, lam_x / (q * mu))
     dual0 = dual0 + mu * (aux0 - factors[0])
     _ridge_updates(data - sparse, factors, range(1, len(factors)), lam_x)
     return aux0, dual0, _fit(data, factors)

@@ -315,6 +315,24 @@ class TestAsymSolve:
         assert np.linalg.norm(factors[1]) < 1e-9
         assert np.linalg.norm(factors[2]) < 1e-9
 
+    @pytest.mark.parametrize("q", [0.5, 2.0 / 7.0])
+    def test_aux_is_the_prox_of_the_charged_penalty(self, q):
+        # _objective charges mode 0 lam_x * ||y||^q / q, so the auxiliary
+        # update is that penalty's prox at step 1/mu: each column of Y
+        # points along V = X - Z/mu and its norm minimizes the radial
+        # problem 0.5*(r - ||v||)^2 + lam_x/(q*mu) * r^q over r >= 0
+        data, factors, sparse, aux, duals = random_instance((4, 5, 6), 3, 18)
+        lam_x, mu = 0.05, 1.0
+        y, _, _ = _asym_sweep(data, sparse, factors, aux[0], duals[0], q, lam_x, mu)
+        v = factors[0] - duals[0] / mu
+        for y_col, v_col in zip(y.T, v.T):
+            nv = float(np.linalg.norm(v_col))
+            star = grid_minimize(lambda r: 0.5 * (r - nv) ** 2 + lam_x / (q * mu) * r**q,
+                                 0.0, nv)
+            ny = float(np.linalg.norm(y_col))
+            assert abs(ny - star) < 1e-5, (ny, star, nv)
+            np.testing.assert_allclose(y_col, ny / nv * v_col, rtol=0, atol=1e-12)
+
     def test_penalty_tracks_regularizer_family(self):
         # the solver's mode-0 power-q plus ridge structure is, up to the
         # constant p2, exactly the asym_b regularizer value
