@@ -31,9 +31,9 @@ solvers admm, asym and als, lam_x 0.1 and 5.0, and the c8
 arms and an als arm with its default ``sym:p=2/d``, lam_e 0.1 and 0,
 ten seeds), so every solver runs through ``run_single``. It also runs the
 gate's c4 cells for all three solvers: clean rank-one 10x10x10 data,
-k_init 2, lam_x 0 and lam_e 1e6. Without a ridge, the als cell's normal
-equations turn singular, so some of its block solves take the
-least-squares fallback. Last, it writes a c8 instance (seed 0) to a
+k_init 2, lam_x 0 and lam_e 1e6. Without a ridge every block solve of
+the als cell, and of the asym cell's modes after the first, is least
+squares, and the als cell's normal equations turn singular. Last, it writes a c8 instance (seed 0) to a
 temporary directory with the ``gen`` command and runs the ``trpca``
 command on it (k 10, lambda-x 0.1, lambda-e 0.1, seed 0) with three flag
 selections: none (admm), ``--reg sym:p=0.6667`` (als) and ``--q 0.5``

@@ -27,10 +27,11 @@ solver when none is named and refuses a solver, ``spec`` and ``q`` that
 the rule does not pair, so each solver reads a config resolved for it.
 
 The three share one driver loop and differ only in their sweep, in which
-modes are split and in the per-mode penalty terms. The ADMM and ALS
-sweeps form the target D - E once and give it to all their mode updates
-(ADMM's x-updates through a private core of :func:`trpca_x_update`); the
-asym sweep forms it once for its x-update and once for its ridge updates.
+modes are split and in the per-mode penalty terms. Every mode update is
+one k x k ridge solve, ``_mode_update``. The ADMM and ALS sweeps form the
+target D - E once and give it to all their mode updates; the asym sweep
+forms it once for its x-update (the public :func:`trpca_x_update`) and
+once for its ridge updates.
 Each sweep returns the fit D - CP(F) at its new factors, formed as one
 matrix product already in the C order of D, so the subtraction reads
 two C-ordered arrays. The driver thresholds that one tensor into the new
@@ -126,18 +127,31 @@ def _check_data(data):
     return d
 
 
-def _solve_right(gram, rhs):
-    """Solve X @ gram = rhs for X, for the symmetric k x k `gram`: a Cholesky
-    factorization tests positive definiteness and an LU solve answers; if either
-    finds `gram` singular (a Cholesky can pass where LU meets an exact zero
-    pivot), least squares does. Non-finite input raises LinAlgError."""
+def _solve_right(gram, rhs, ridge):
+    """X = rhs @ (gram + ridge*I)^{-1} for the symmetric positive
+    semidefinite k x k `gram`, which it overwrites with gram + ridge*I. The
+    ridge picks the method: one above the rounding of gram's diagonal makes
+    the system positive definite with a bounded condition number, so the
+    inverse answers; any other ridge, 0 included, takes least squares.
+    Non-finite input raises LinAlgError."""
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise np.linalg.LinAlgError("array must not contain infs or NaNs")
-    try:
-        np.linalg.cholesky(gram)
-        return np.linalg.solve(gram, rhs.T).T
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
+    k = gram.shape[0]
+    definite = ridge > k * np.finfo(np.float64).eps * gram.diagonal().max(initial=0.0)
+    gram.flat[:: k + 1] += ridge
+    if definite:
+        return rhs @ np.linalg.inv(gram)
+    return np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
+
+
+def _mode_update(target, factors, mode, ridge, extra=0):
+    """The exact minimizer over X of 0.5*||target_(mode) - X @ KR^T||^2 +
+    0.5*ridge*||X||^2 - <X, extra>, for the Khatri-Rao matrix KR of the other
+    modes: X = (target_(mode) @ KR + extra) @ (KR^T KR + ridge*I)^{-1}, the
+    first product a :func:`~tensorenr.core.mttkrp` on reshape views of the
+    C-ordered `target`, the Gram a Hadamard product of k x k Grams. Every
+    mode update of the three solvers is one call."""
+    return _solve_right(kr_gram(factors, mode), mttkrp(target, factors, mode) + extra, ridge)
 
 
 def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
@@ -149,11 +163,9 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
 
     where KR is the Khatri-Rao matrix of the other modes, giving
 
-        X = ((D - E)_(j) @ KR + mu*Y + Z) @ (KR^T KR + mu*I)^{-1}.
+        X = ((D - E)_(j) @ KR + mu*Y + Z) @ (KR^T KR + mu*I)^{-1},
 
-    Neither the unfolding nor KR^T KR is formed: the first product is a
-    :func:`~tensorenr.core.mttkrp` on reshape views of D - E, and the Gram
-    the Hadamard product of the other modes' k x k Grams.
+    which :func:`_mode_update` forms with ridge mu.
 
     `aux` (Y) and `dual` (Z) must have the shape (n_mode, k) of the block.
     """
@@ -172,22 +184,7 @@ def trpca_x_update(data, sparse, factors, aux, dual, mode, mu):
     e = np.asarray(sparse, dtype=np.float64)
     if d.shape != shape or e.shape != shape:
         raise ValueError("data, sparse term and factors have mismatched shapes")
-    return _x_update(d - e, factors, y, z, mode, mu)
-
-
-def _x_update(target, factors, aux, dual, mode, mu):
-    """:func:`trpca_x_update` without its checks, for the C-ordered target
-    D - E that a sweep forms once for all its mode updates."""
-    return _block_solve(factors, mode, mu, mttkrp(target, factors, mode) + mu * aux + dual)
-
-
-def _block_solve(factors, mode, ridge, rhs):
-    """X = rhs @ (KR^T KR + ridge*I)^{-1}, for the Khatri-Rao matrix KR of
-    the modes other than `mode`: the normal equations of every mode update."""
-    k = factors[0].shape[1]
-    gram = kr_gram(factors, mode)
-    gram.flat[:: k + 1] += ridge
-    return _solve_right(gram, rhs)
+    return _mode_update(d - e, factors, mode, mu, mu * y + z)
 
 
 def _fit(data, factors):
@@ -211,19 +208,12 @@ def _objective(fit, factors, sparse, terms, lam_x, lam_e):
     return 0.5 * sq + lam_x * pen + lam_e * float(np.abs(sparse.ravel(), out=res).sum())
 
 
-def _ridge_updates(target, factors, modes, ridge):
-    """Replace factors[j], for each j in `modes` in turn, by the exact
-    minimizer of 0.5*||target_(j) - X @ KR^T||^2 + 0.5*ridge*||X||^2."""
-    for j in modes:
-        factors[j] = _block_solve(factors, j, ridge, mttkrp(target, factors, j))
-
-
 def _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu):
     """One full iteration of the splitting solver; mutates the factor,
     auxiliary and dual lists in place and returns the fit D - CP(F)."""
     target = data - sparse
     for j in range(len(factors)):
-        factors[j] = _x_update(target, factors, aux[j], duals[j], j, mu)
+        factors[j] = _mode_update(target, factors, j, mu, mu * aux[j] + duals[j])
         aux[j] = prox_group_soft(factors[j] - duals[j] / mu, lam_x / mu)
         duals[j] = duals[j] + mu * (aux[j] - factors[j])
     return _fit(data, factors)
@@ -235,7 +225,9 @@ def _asym_sweep(data, sparse, factors, aux0, dual0, q, lam_x, mu):
     factors[0] = trpca_x_update(data, sparse, factors, aux0, dual0, 0, mu)
     aux0 = prox_irls(factors[0] - dual0 / mu, q, lam_x / (q * mu))
     dual0 = dual0 + mu * (aux0 - factors[0])
-    _ridge_updates(data - sparse, factors, range(1, len(factors)), lam_x)
+    target = data - sparse
+    for j in range(1, len(factors)):
+        factors[j] = _mode_update(target, factors, j, lam_x)
     return aux0, dual0, _fit(data, factors)
 
 
@@ -243,8 +235,9 @@ def _als_sweep(data, sparse, factors, lam_x):
     """One full iteration of alternating ridge least squares; returns the
     fit D - CP(F). Every block update is an exact minimizer, so the
     objective cannot increase."""
-    d = len(factors)
-    _ridge_updates(data - sparse, factors, range(d), 2.0 * lam_x / d)
+    target = data - sparse
+    for j in range(len(factors)):
+        factors[j] = _mode_update(target, factors, j, 2.0 * lam_x / len(factors))
     return _fit(data, factors)
 
 

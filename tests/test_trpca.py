@@ -137,13 +137,17 @@ class TestXUpdate:
 class TestSolveRight:
     @pytest.mark.parametrize("n, k", [(4, 1), (7, 3), (30, 10)])
     def test_spd_matches_scipy_cholesky(self, n, k):
-        # an LU solve rounds differently from a Cholesky solve
+        # a ridge above rounding takes the inverse, which rounds differently
+        # from a Cholesky solve
         rng = np.random.default_rng(n)
         kr = rng.standard_normal((n * n, k))
-        gram = kr.T @ kr + 0.1 * np.eye(k)
+        gram = kr.T @ kr
         rhs = rng.standard_normal((n, k))
-        want = cho_solve(cho_factor(gram), rhs.T).T
-        np.testing.assert_allclose(_solve_right(gram, rhs), want, rtol=1e-12, atol=0)
+        ridged = gram + 0.1 * np.eye(k)
+        want = cho_solve(cho_factor(ridged), rhs.T).T
+        got = _solve_right(gram, rhs, 0.1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(got, rhs @ np.linalg.inv(ridged))
 
     @pytest.mark.parametrize(
         "gram",
@@ -156,23 +160,27 @@ class TestSolveRight:
         ids=["zero", "indefinite", "repeated-column"],
     )
     def test_not_positive_definite_falls_back_to_lstsq(self, gram):
+        # ridge 0 is least squares whatever the Gram
         rhs = np.random.default_rng(1).standard_normal((3, 2))
-        with pytest.raises(np.linalg.LinAlgError):
-            cho_factor(gram)
         want = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
-        assert np.array_equal(_solve_right(gram, rhs), want)
+        assert np.array_equal(_solve_right(gram.copy(), rhs, 0.0), want)
 
-    def test_singular_after_passing_cholesky_falls_back_to_lstsq(self):
-        # outer([sqrt(5), 1/sqrt(5)]): rank one, yet its rounded Cholesky
-        # factor has a positive second pivot, while LU's second pivot
-        # 0.2 - (1/5)*1 is exactly zero
-        gram = np.array([[5.0, 1.0], [1.0, 0.2]])
+    def test_ridge_below_rounding_is_least_squares(self):
+        # 4 + 1e-17 rounds to 4: the ridged Gram is still the singular
+        # repeated-column one, which has no inverse
+        gram = np.full((2, 2), 4.0)
         rhs = np.random.default_rng(1).standard_normal((3, 2))
-        np.linalg.cholesky(gram)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(gram, rhs.T)
+            np.linalg.inv(gram)
         want = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
-        assert np.array_equal(_solve_right(gram, rhs), want)
+        got = _solve_right(gram.copy(), rhs, 1e-17)
+        assert np.array_equal(got, want)
+        assert np.all(np.isfinite(got))
+
+    def test_writes_the_ridged_gram(self):
+        gram = np.array([[2.0, 1.0], [1.0, 3.0]])
+        _solve_right(gram, np.ones((3, 2)), 0.5)
+        assert np.array_equal(gram, [[2.5, 1.0], [1.0, 3.5]])
 
     def test_als_repeated_column_without_ridge_is_least_squares(self):
         # lam_x = 0 and two identical components: KR^T KR = [[4, 4], [4, 4]]
@@ -192,18 +200,19 @@ class TestSolveRight:
         gram, rhs = 2.0 * np.eye(2), np.ones((3, 2))
         (gram if where == "gram" else rhs)[1, 1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _solve_right(gram, rhs)
+            _solve_right(gram, rhs, 1.0)
 
     @pytest.mark.parametrize("where", ["gram", "rhs"])
     def test_non_finite_input_is_a_numeric_failure(self, where):
         gram, rhs = 2.0 * np.eye(2), np.ones((3, 2))
         (gram if where == "gram" else rhs)[0, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs") as info:
-            _solve_right(gram, rhs)
+            _solve_right(gram, rhs, 1.0)
         assert type(info.value) is np.linalg.LinAlgError
 
     def test_empty_system(self):
-        assert _solve_right(np.zeros((0, 0)), np.zeros((3, 0))).shape == (3, 0)
+        for ridge in (0.0, 1.0):
+            assert _solve_right(np.zeros((0, 0)), np.zeros((3, 0)), ridge).shape == (3, 0)
 
 
 def test_sparse_update_matches_grid_oracle():
@@ -411,6 +420,19 @@ class TestAlsSolve:
             )
             rep, _ = trpca_als_solve(data, cfg)
             assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
+    def test_c4_cell_does_not_hang_on_rounding(self):
+        # the gate's c4 als cell: without a ridge its Grams turn singular,
+        # and every block solve is least squares. Nudging each entry of the
+        # data by one ulp either way must not change how the solve ends.
+        rng = np.random.default_rng(44)
+        truth = cp_reconstruct([rng.standard_normal((10, 1)) for _ in range(3)])
+        cfg = TrpcaConfig(k_init=2, lam_x=0.0, lam_e=1e6, spec=SYM_E2, t_max=200, rng_seed=6)
+        ends = set()
+        for data in (truth, np.nextafter(truth, np.inf), np.nextafter(truth, -np.inf)):
+            rep, _ = trpca_als_solve(data, cfg)
+            ends.add((rep.iterations, rep.stop_reason))
+        assert len(ends) == 1, ends
 
     def test_rejects_wrong_spec(self):
         with pytest.raises(ValueError):
