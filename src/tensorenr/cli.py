@@ -64,10 +64,11 @@ def build_parser():
     gen.add_argument("--shape", required=True, help="e.g. 30x30x30")
     gen.add_argument("--rank", type=int, required=True)
     gen.add_argument("--noise", type=float, default=0.1)
-    gen.add_argument("--missing-rate", type=float, default=0.0)
-    gen.add_argument("--density", type=float, default=0.1)
+    gen.add_argument("--missing-rate", type=float, default=None, help="lrtc; default 0")
+    gen.add_argument("--density", type=float, default=None, help="trpca; default 0.1")
     gen.add_argument("--weights", choices=("unit", "linear"), default=None)
-    gen.add_argument("--corruption", choices=("additive", "replace"), default="additive")
+    gen.add_argument("--corruption", choices=("additive", "replace"), default=None,
+                     help="trpca; default additive")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output file prefix")
 
@@ -109,15 +110,17 @@ def build_parser():
 
 
 def _cmd_gen(args):
+    # flags left out take the data model's defaults; the spec refuses a
+    # given one that its task does not read
+    density = 0.1 if args.density is None and args.task == "trpca" else args.density
+    given = dict(missing_rate=args.missing_rate, sparse_density=density, corruption=args.corruption)
     spec = ExperimentSpec(
         task=args.task,
         shape=_parse_shape(args.shape),
         true_rank=args.rank,
         noise_level=args.noise,
         weights_mode=args.weights,
-        # the spec refuses a setting its task does not read
-        **(dict(missing_rate=args.missing_rate) if args.task == "lrtc"
-           else dict(sparse_density=args.density, corruption=args.corruption)),
+        **{name: value for name, value in given.items() if value is not None},
     )
     if args.task == "lrtc":
         truth, data, mask = gen_lrtc_data(spec, args.seed)

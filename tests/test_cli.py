@@ -54,6 +54,39 @@ class TestGen:
         sparse = read_tensor(f"{prefix}_sparse.tnsr")
         assert int(np.sum(sparse != 0.0)) == round(0.1 * 125)
 
+    @pytest.mark.parametrize(
+        "task, flags",
+        [
+            ("trpca", ("--missing-rate", "0.5")),
+            ("lrtc", ("--density", "0.5", "--corruption", "replace")),
+        ],
+    )
+    def test_flag_the_task_does_not_read_is_refused(self, tmp_path, capsys, task, flags):
+        prefix = tmp_path / "x"
+        rc = run_cli("gen", "--task", task, "--shape", "4x4x4", "--rank", "1", *flags,
+                     "--out", str(prefix))
+        assert rc == 1
+        assert "does not read" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "task, defaults",
+        [
+            ("trpca", ("--density", "0.1", "--corruption", "additive")),
+            ("lrtc", ("--missing-rate", "0")),
+        ],
+    )
+    def test_left_out_flags_take_the_defaults(self, tmp_path, task, defaults):
+        def gen(name, *flags):
+            rc = run_cli("gen", "--task", task, "--shape", "4x5x6", "--rank", "2", *flags,
+                         "--seed", "4", "--out", str(tmp_path / name))
+            assert rc == 0
+            return [p.read_bytes() for p in sorted(tmp_path.glob(f"{name}_*"))]
+
+        plain = gen("plain")
+        assert len(plain) == 3
+        assert plain == gen("spelled", *defaults)
+
     @pytest.mark.parametrize("shape", ["6xax6", "7", "x"])
     def test_bad_shape_is_usage_error(self, tmp_path, capsys, shape):
         rc = run_cli(
