@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import cp_reconstruct, sample_mask
 from .lrtc import LrtcConfig, _cpus, _csr_matrix, _share_cpus, solve as lrtc_solve
-from .regularizers import RegularizerSpec
+from .regularizers import RegularizerSpec, asym_b_power
 from .trpca import TrpcaConfig, solver_for, trpca_solve
 
 CSV_COLUMNS = (
@@ -358,7 +358,9 @@ def run_experiment(spec, timing=True, out_path=None):
     lambda's summary row counts it.
     """
     rate = spec.missing_rate if spec.task == "lrtc" else spec.sparse_density
-    p_eff = spec.reg.effective_p if spec.reg is not None else None
+    # an asym spec given by q alone has no regularizer: its penalty is
+    # asym_b's of that q, whose effective power the column reports
+    p_eff = spec.reg.effective_p if spec.reg is not None else asym_b_power(spec.q, len(spec.shape))
     cells = [(lam, seed) for lam in spec.lambda_values() for seed in spec.seeds]
     workers = min(_cpus(), len(cells))
     if spec.task == "lrtc":

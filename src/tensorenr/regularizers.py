@@ -38,6 +38,12 @@ _TABLE2 = {
 _KINDS = ("sym", "asym_a", "asym_b", "table2")
 
 
+def asym_b_power(q, order):
+    """Effective power of ``asym_b`` with mode-0 exponent `q` on an
+    order-`order` tensor, for any q, not only the 2/m a spec snaps to."""
+    return 2.0 * q / (2.0 + q * order - q)
+
+
 def _snap_exponent(e):
     """Snap a per-column exponent to a nearby small integer.
 
@@ -109,7 +115,7 @@ class RegularizerSpec:
         if self.kind == "asym_a":
             return self.q / (1.0 + self.q * d - self.q)
         if self.kind == "asym_b":
-            return 2.0 * self.q / (2.0 + self.q * d - self.q)
+            return asym_b_power(self.q, d)
         return _TABLE2[self.variant][2]
 
     def mode_terms(self):

@@ -388,6 +388,17 @@ class TestRunExperiment:
             assert (a[6], a[9], a[10]) == (b[6], b[9], b[10])
             assert a[6] != ""
 
+    @pytest.mark.parametrize("q, p_eff", [(0.5, "0.3333333333"), (0.3, "0.2307692308")])
+    def test_asym_by_q_reports_its_effective_power(self, q, p_eff):
+        # an asym sweep selected by q alone charges asym_b's penalty for
+        # that q, 2q / (2 + q(d - 1)), and reports its power, snapped to
+        # 2/m (q = 0.5) or not (q = 0.3)
+        spec = ExperimentSpec(task="trpca", shape=(6, 6, 6), true_rank=2, sparse_density=0.1,
+                              q=q, lambdas=(0.1,), t_max=5)
+        rows = [line.split(",") for line in run_experiment(spec, timing=False).splitlines()[1:]]
+        assert [row[4] for row in rows] == [p_eff, p_eff]
+        assert all(row[-1] == "" for row in rows)
+
     def test_default_grid_used_when_lambdas_missing(self):
         spec = self.small_spec(lambdas=None)
         assert len(spec.lambda_values()) == 20
