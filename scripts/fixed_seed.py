@@ -37,24 +37,29 @@ squares, and the als cell's normal equations turn singular. Last, it writes a c8
 temporary directory with the ``gen`` command and runs the ``trpca``
 command on it (k 10, lambda-x 0.1, lambda-e 0.1, seed 0) with three flag
 selections: none (admm), ``--reg sym:p=0.6667`` (als) and ``--q 0.5``
-(asym). The ``gen`` files, and each selection's estimate and sparse-term
-files, trace CSV without its seconds column and printed summary, are
-compared as bytes.
+(asym). The ``gen`` files and each selection's printed summary are
+compared as bytes. Each selection's estimate and sparse-term files are
+read back with ``read_tensor``, and its trace CSV as its objective
+column, its rank column and its row count.
 
 A solver cell is "identical" when its factors, ``recovered``, rank and
 objective traces, iteration count and ``converged`` (and for robust PCA
 the sparse term) are exactly equal. It "differs by rounding" when the
 rank traces, iteration counts and ``converged`` match and the largest
 deviations of ``recovered`` and of the objective trace, each relative to
-the largest magnitude in the base's array, are at most 1e-12. Anything
-else, and any CSV or file that is not byte-identical, "DIFFERS". For a solver
-cell that is not identical, the line also gives the size of the
-difference: the largest relative deviation of ``recovered``, of the
-factors and of the objective trace (``n/a`` when the shapes differ), and
-whether the rank traces, iteration counts and ``converged`` match. For a
-CSV or file that differs it gives the number of differing lines
-(newline-separated chunks of a binary file). Prints one line
-per cell and exits non-zero if any cell differs beyond rounding.
+the largest magnitude in the base's array, are at most 1e-12. A command
+file read as numbers is judged by the same rule: its ranks and row count
+(for a trace) must match, and its values may deviate by at most 1e-12
+relative. Anything else, and any CSV or file that is not byte-identical,
+"DIFFERS". For a solver cell that is not identical, the line also gives
+the size of the difference: the largest relative deviation of
+``recovered``, of the factors and of the objective trace (``n/a`` when
+the shapes differ), and whether the rank traces, iteration counts and
+``converged`` match; for a command file read as numbers, the largest
+relative deviation of its values and whether its ranks and row count
+match. For a CSV or file that differs it gives the number of differing
+lines. Prints one line per cell and exits non-zero if any cell differs
+beyond rounding.
 """
 
 import argparse
@@ -66,6 +71,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +103,14 @@ ARMS = {"admm": dict(reg="sym:p=0.3333"), "asym": dict(q=0.5), "als": {}}
 COMMAND_FLAGS = ((), ("--reg", "sym:p=0.6667"), ("--q", "0.5"))
 SEEDS = (0, 1)
 LAMBDAS = (0.1, 5.0)
+
+
+class Numbers(NamedTuple):
+    """A command file read as numbers: `values` are judged by the rounding
+    rule, `exact` (ranks and row count of a trace) must match."""
+
+    values: np.ndarray
+    exact: tuple = ()
 
 
 def answers(rep, **extra):
@@ -177,6 +191,7 @@ def trpca_command(tmp):
     """The ``gen`` files of the c8 instance written under `tmp` and, for each
     selection in ``COMMAND_FLAGS``, the ``trpca`` command's outputs."""
     from tensorenr import cli
+    from tensorenr.tensorio import read_tensor
 
     def run(*argv):
         printed = io.StringIO()
@@ -199,10 +214,11 @@ def trpca_command(tmp):
                       "--lambda-x", "0.1", "--lambda-e", "0.1", "--seed", "0", *flags,
                       "--out", str(prefix))
         name = f"trpca command {' '.join(flags) or 'no flags'}"
-        out[f"{name} estimate"] = Path(f"{prefix}.tnsr").read_bytes()
-        out[f"{name} sparse"] = Path(f"{prefix}_sparse.tnsr").read_bytes()
-        trace = Path(f"{prefix}_trace.csv").read_text().splitlines()
-        out[f"{name} trace"] = "\n".join(row.rsplit(",", 1)[0] for row in trace)
+        out[f"{name} estimate"] = Numbers(read_tensor(f"{prefix}.tnsr"))
+        out[f"{name} sparse"] = Numbers(read_tensor(f"{prefix}_sparse.tnsr"))
+        # columns iter, objective, rank, seconds
+        trace = np.loadtxt(f"{prefix}_trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        out[f"{name} trace"] = Numbers(trace[:, 1], (tuple(trace[:, 2]), len(trace)))
         out[f"{name} summary"] = summary
     return out
 
@@ -260,6 +276,15 @@ def verdict(want, got):
             return "identical", detail
         result = "rounding" if within_rounding(want, got) else "DIFFERS"
         return result, detail + "; " + size_of_difference(want, got)
+    if isinstance(want, Numbers):
+        detail = f"{want.values.size} numbers"
+        exact = want.exact == got.exact
+        if exact and same(want.values, got.values):
+            return "identical", detail
+        dev = deviation(want.values, got.values)
+        result = "rounding" if exact and dev is not None and dev <= ROUNDING else "DIFFERS"
+        return result, (detail + f"; max rel dev {'n/a' if dev is None else f'{dev:.2e}'}; "
+                        f"ranks and rows {'match' if exact else 'DIFFER'}")
     detail = f"{len(want)} bytes"
     if want == got:
         return "identical", detail
