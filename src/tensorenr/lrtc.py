@@ -57,10 +57,8 @@ from .core import (
 from .regularizers import (
     RegularizerSpec,
     _balancer,
-    _prox_radial,
+    _prox_mode,
     _value_from_norms,
-    prox_group_soft,
-    prox_ridge_scale,
     reg_value,
 )
 
@@ -482,19 +480,6 @@ def _check_problem(data, mask, config):
             f"regularizer order {config.spec.order} does not match tensor order {d.ndim}"
         )
     return d
-
-
-def _prox_mode(target, term, lam, lipschitz):
-    """Proximal step for one mode's column penalty lam*coeff*sum||x_i||^e."""
-    coeff, exponent = term
-    lam_eff = lam * coeff
-    if lam_eff == 0.0:
-        return target.copy()
-    if exponent == 1.0:
-        return prox_group_soft(target, lam_eff / lipschitz)
-    if exponent == 2.0:
-        return prox_ridge_scale(target, lipschitz, lam_eff)
-    return _prox_radial(target, exponent, lam_eff / lipschitz)
 
 
 def _prune_zero_components(mats_list, norms):

@@ -357,3 +357,22 @@ def prox_irls(matrix, exponent, lam, inner_iters=64):
     if not lam >= 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     return _prox_radial(matrix, exponent, lam, max_steps=inner_iters)
+
+
+def _prox_mode(target, term, lam, lipschitz):
+    """Proximal step at step size 1/lipschitz for one mode's column
+    penalty lam*coeff*sum||x_i||^e, `term` being (coeff, e): the group soft
+    threshold for e = 1, a uniform shrinkage for e = 2, :func:`prox_irls`
+    for e in (0, 1) and the exact radial prox for any other e. BCDE's block
+    steps and the robust-PCA splitting's auxiliary updates take it."""
+    coeff, exponent = term
+    lam_eff = lam * coeff
+    if lam_eff == 0.0:
+        return target.copy()
+    if exponent == 1.0:
+        return prox_group_soft(target, lam_eff / lipschitz)
+    if exponent == 2.0:
+        return prox_ridge_scale(target, lipschitz, lam_eff)
+    if exponent < 1.0:
+        return prox_irls(target, exponent, lam_eff / lipschitz)
+    return _prox_radial(target, exponent, lam_eff / lipschitz)

@@ -17,11 +17,10 @@ from tensorenr.regularizers import (
 from tensorenr.trpca import (
     TrpcaConfig,
     _admm_sweep,
-    _als_sweep,
-    _asym_sweep,
     _fit,
     _objective,
     _solve_right,
+    _sweep,
     sparsity_summary,
     trpca_admm_solve,
     trpca_als_solve,
@@ -192,7 +191,7 @@ class TestSolveRight:
         kr = khatri_rao(factors, skip=0)
         rhs = unfold(data, 0) @ kr
         want = np.linalg.lstsq((kr.T @ kr).T, rhs.T, rcond=None)[0].T
-        _als_sweep(data, np.zeros(data.shape), factors, 0.0)
+        _sweep(data, np.zeros(data.shape), factors, {}, {}, [(1.0 / 3.0, 2.0)] * 3, 0.0, 10.0)
         assert np.array_equal(factors[0], want)
         assert all(np.all(np.isfinite(f)) for f in factors)
 
@@ -322,27 +321,10 @@ class TestAsymSolve:
 
     def test_huge_ridge_flattens_late_modes(self):
         data, factors, sparse, aux, duals = random_instance((4, 4, 4), 2, 14)
-        _asym_sweep(data, np.zeros(data.shape), factors, aux[0], duals[0], 0.5, 1e12, 10.0)
+        terms = [(2.0, 0.5), (0.5, 2.0), (0.5, 2.0)]
+        _sweep(data, np.zeros(data.shape), factors, {0: aux[0]}, {0: duals[0]}, terms, 1e12, 10.0)
         assert np.linalg.norm(factors[1]) < 1e-9
         assert np.linalg.norm(factors[2]) < 1e-9
-
-    @pytest.mark.parametrize("q", [0.5, 2.0 / 7.0])
-    def test_aux_is_the_prox_of_the_charged_penalty(self, q):
-        # _objective charges mode 0 lam_x * ||y||^q / q, so the auxiliary
-        # update is that penalty's prox at step 1/mu: each column of Y
-        # points along V = X - Z/mu and its norm minimizes the radial
-        # problem 0.5*(r - ||v||)^2 + lam_x/(q*mu) * r^q over r >= 0
-        data, factors, sparse, aux, duals = random_instance((4, 5, 6), 3, 18)
-        lam_x, mu = 0.05, 1.0
-        y, _, _ = _asym_sweep(data, sparse, factors, aux[0], duals[0], q, lam_x, mu)
-        v = factors[0] - duals[0] / mu
-        for y_col, v_col in zip(y.T, v.T):
-            nv = float(np.linalg.norm(v_col))
-            star = grid_minimize(lambda r: 0.5 * (r - nv) ** 2 + lam_x / (q * mu) * r**q,
-                                 0.0, nv)
-            ny = float(np.linalg.norm(y_col))
-            assert abs(ny - star) < 1e-5, (ny, star, nv)
-            np.testing.assert_allclose(y_col, ny / nv * v_col, rtol=0, atol=1e-12)
 
     def test_penalty_tracks_regularizer_family(self):
         # the solver's mode-0 power-q plus ridge structure is, up to the
@@ -536,12 +518,12 @@ def _manual_first_iteration(solver, data, k, lam_x, lam_e, mu):
         fit = _admm_sweep(data, sparse, factors, aux, duals, lam_x, mu)
         terms = [(1.0, 1.0)] * 3
     elif solver == "asym":
-        aux0, dual0 = factors[0].copy(), np.zeros_like(factors[0])
-        _, _, fit = _asym_sweep(data, sparse, factors, aux0, dual0, 0.5, lam_x, mu)
+        aux, duals = {0: factors[0].copy()}, {0: np.zeros_like(factors[0])}
         terms = [(2.0, 0.5), (0.5, 2.0), (0.5, 2.0)]
+        fit = _sweep(data, sparse, factors, aux, duals, terms, lam_x, mu)
     else:
-        fit = _als_sweep(data, sparse, factors, lam_x)
         terms = [(1.0 / 3.0, 2.0)] * 3
+        fit = _sweep(data, sparse, factors, {}, {}, terms, lam_x, mu)
     return factors, soft_threshold_elem(fit, lam_e), fit, terms
 
 
@@ -702,6 +684,49 @@ def test_admm_sweep_is_public_x_updates():
     for got, want in zip((factors, aux, duals), (want_f, want_y, want_z)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert np.array_equal(fit, _fit(data, want_f))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(1.0, 1.0)] * 3,
+        [(1.0 / 0.5, 0.5), (0.5, 2.0), (0.5, 2.0)],
+        [(1.0 / (2.0 / 7.0), 2.0 / 7.0), (0.5, 2.0), (0.5, 2.0)],
+        [(1.0 / 3.0, 2.0)] * 3,
+    ],
+    ids=["admm", "asym-q=0.5", "asym-q=2/7", "als"],
+)
+def test_sweep_takes_each_mode_update_from_its_charged_term(terms):
+    # _objective charges mode j lam_x * c * sum_i ||x_i||^e for the
+    # solver's term (c, e). A split mode's auxiliary update is that
+    # penalty's prox at step 1/mu: each column of Y points along
+    # V = X - Z/mu and its norm minimizes the radial problem
+    # 0.5*(r - ||v||)^2 + lam_x*c/mu * r^e over r >= 0. A mode with e = 2
+    # takes the exact block minimizer: it zeroes the gradient of
+    # 0.5*||T_(j) - X KR^T||^2 + lam_x*c*||X||^2 for T = D - E, with KR
+    # formed from the other modes as the sweep held them (new before j,
+    # old after j)
+    data, factors, sparse, aux, duals = random_instance((4, 5, 6), 3, 18)
+    lam_x, mu = 0.1, 2.0
+    split = [j for j, (_, e) in enumerate(terms) if e != 2.0]
+    aux, duals = {j: aux[j] for j in split}, {j: duals[j] for j in split}
+    before, old_duals = list(factors), dict(duals)
+    _sweep(data, sparse, factors, aux, duals, terms, lam_x, mu)
+    for j, (c, e) in enumerate(terms):
+        if j in split:
+            v = factors[j] - old_duals[j] / mu
+            for y_col, v_col in zip(aux[j].T, v.T):
+                nv = float(np.linalg.norm(v_col))
+                star = grid_minimize(lambda r: 0.5 * (r - nv) ** 2 + lam_x * c / mu * r**e,
+                                     0.0, nv)
+                ny = float(np.linalg.norm(y_col))
+                assert abs(ny - star) < 1e-5, (j, ny, star, nv)
+                np.testing.assert_allclose(y_col, ny / nv * v_col, rtol=0, atol=1e-12)
+        else:
+            kr = khatri_rao(factors[:j] + before[j:], skip=j)
+            rhs = unfold(data - sparse, j) @ kr
+            grad = factors[j] @ (kr.T @ kr) - rhs + 2.0 * lam_x * c * factors[j]
+            assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(rhs), j
 
 
 def _change(new, old):
