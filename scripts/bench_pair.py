@@ -15,9 +15,11 @@ is odd. For every workload the output holds each pair's
 end-to-end metrics and failure counts, each side's median and quartiles,
 and, per metric, the number of pairs in which the head was better (by the
 direction ``BENCHMARK.json`` declares; ties count for neither side). It
-also records the CPU count, the BLAS build numpy reports and the git tree
-id of each side's ``src/``. To measure uncommitted work, stage it and pass
-``--head $(git stash create)``. The exports go under ``$TMPDIR``.
+also records the CPU count, the BLAS build numpy reports, and the git tree
+id of each side's ``src/`` and its line count over ``src/**/*.py``
+(``base_src_lines``, ``head_src_lines``; newlines, as ``wc -l`` counts).
+To measure uncommitted work, stage it and pass ``--head $(git stash
+create)``. The exports go under ``$TMPDIR``.
 """
 
 import argparse
@@ -119,6 +121,8 @@ def main(argv=None):
             report[f"{side}_src_tree"] = subprocess.run(
                 ["git", "rev-parse", f"{report[side]}:src"], cwd=ROOT, check=True,
                 capture_output=True, text=True).stdout.strip()
+            report[f"{side}_src_lines"] = sum(
+                path.read_bytes().count(b"\n") for path in (trees[side] / "src").rglob("*.py"))
         for workload in args.workload:
             pairs = []
             for i in range(PAIRS):

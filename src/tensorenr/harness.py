@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import cp_reconstruct, sample_mask
+from .core import check_shape, cp_reconstruct, sample_mask
 from .lrtc import LrtcConfig, _cpus, _csr_matrix, _share_cpus, solve as lrtc_solve
-from .regularizers import RegularizerSpec, asym_b_power
+from .regularizers import RegularizerSpec
 from .trpca import TrpcaConfig, solver_for, trpca_solve
 
 CSV_COLUMNS = (
@@ -145,7 +145,7 @@ class ExperimentSpec:
             if f.name in unread and getattr(self, f.name) != f.default:
                 raise ValueError(f"task {self.task} does not read {f.name}; "
                                  f"got {getattr(self, f.name)!r}, leave it at {f.default!r}")
-        self.shape = tuple(int(n) for n in self.shape)
+        self.shape = check_shape(self.shape)
         if self.true_rank < 1:
             raise ValueError(f"true_rank must be >= 1, got {self.true_rank}")
         if self.noise_level < 0:
@@ -359,8 +359,8 @@ def run_experiment(spec, timing=True, out_path=None):
     """
     rate = spec.missing_rate if spec.task == "lrtc" else spec.sparse_density
     # an asym spec given by q alone has no regularizer: its penalty is
-    # asym_b's of that q, whose effective power the column reports
-    p_eff = spec.reg.effective_p if spec.reg is not None else asym_b_power(spec.q, len(spec.shape))
+    # asym_b's of that q, snapped to 2/m, whose effective power the column reports
+    p_eff = (spec.reg or RegularizerSpec("asym_b", len(spec.shape), q=spec.q)).effective_p
     cells = [(lam, seed) for lam in spec.lambda_values() for seed in spec.seeds]
     workers = min(_cpus(), len(cells))
     if spec.task == "lrtc":

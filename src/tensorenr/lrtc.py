@@ -23,10 +23,12 @@ the proximal solver, below ``_PRUNE_TOL`` for the quasi-Newton one) are
 removed as the iteration proceeds. Both, and the public helpers
 :func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
 evaluate the masked loss through one kernel built once per call. That
-kernel reads only the observed entries: a solve holds O(observed) data
-and one residual buffer shared by all modes. Each block call forms the
-dense n_j x prod(n_i) product F_j KR^T one cache-sized column block at a
-time and keeps only its observed entries. Value and gradient calls cut
+kernel is the one check of the data against the mask, and it reads, and
+checks for finiteness, only the observed entries: a solve holds
+O(observed) data and one residual buffer shared by all modes, and no
+whole-mode sparsity pattern. Each block call forms the dense
+n_j x prod(n_i) product F_j KR^T one cache-sized column block at a time
+and keeps only its observed entries. Value and gradient calls cut
 their blocks into runs of at least ``_MIN_RUN`` blocks, one per CPU the
 process may run on (its share of them in a sweep's pool worker), and run
 all but the first on helper threads, with bit-identical results; one-block
@@ -245,48 +247,54 @@ def init_factors(shape, k, seed):
 class _MaskedLoss:
     """The smooth completion loss 0.5 * ||M * (D - CP(F))||_F^2.
 
-    Built once per solve from (data, mask), it holds only the observed
-    entries: for each mode j, their data and offsets into the dense
-    product F_j KR^T, and the mode-j unfolding's sparsity pattern as a CSR
-    matrix whose data is one residual buffer shared by all modes (every
-    mode holds the same entries). The product is formed one column block
-    at a time: a run of consecutive unfolding columns whose n_j x width
-    block fits ``_BLOCK_BYTES`` (one block if a single column does not),
-    so each block stays in cache between the matrix product that writes
-    it and the gather that reads the observed entries out of it. Entries
-    are kept in (column block, row, column) order, and the pattern has one
-    row per (block, row) pair, so the block gradient is still one sparse
-    product, summed over blocks. A tensor small enough for one block gets
-    exactly the unblocked product. Value and block gradient thus take
-    O(observed) memory plus one product block per thread at a time. The
-    block curvature comes from the k x k Hadamard product of the other
-    modes' Grams. Both solvers and the public reference helpers go
-    through it.
+    Built once per solve from (data, mask), it is the one place that checks
+    a completion problem: the mask must have the data's shape, and the data
+    must be finite where observed. It reads the data only there, so an
+    unobserved entry may hold anything, NaN included. It keeps, for each
+    mode j, the observed entries' data and offsets into the dense product
+    F_j KR^T, and one residual buffer shared by all modes (every mode holds
+    the same entries). The product is formed one column block at a time: a
+    run of consecutive unfolding columns whose n_j x width block fits
+    ``_BLOCK_BYTES`` (one block if a single column does not), so each block
+    stays in cache between the matrix product that writes it and the gather
+    that reads the observed entries out of it. Entries are kept in (column
+    block, row, column) order, with one sparse row per (block, row) pair, so
+    the block gradient is still one sparse product, summed over blocks. A
+    tensor small enough for one block gets exactly the unblocked product.
+    Value and block gradient thus take O(observed) memory plus one product
+    block per thread at a time. The block curvature comes from the k x k
+    Hadamard product of the other modes' Grams. Both solvers and the public
+    reference helpers go through it.
 
-    Each mode's blocks are cut into contiguous runs, one per thread: as
-    many as the CPUs this process may run on, but with at least
-    ``_MIN_RUN`` blocks each, so a tensor with fewer than twice that many
-    blocks per mode keeps one run and runs on the calling thread alone. A
-    block call hands every run but the first to a helper thread and does
-    the first itself. A run forms its blocks' products, gathers their
-    entries into its slice of the buffer and subtracts the data there;
-    for a gradient it also multiplies its own rows of the pattern (a CSR
-    matrix on slices of the buffer and of the pattern's indices) by KR,
-    and the caller stacks the runs' rows and sums them over blocks. Every
-    entry, row and block sum is computed by the same operations on the
-    same operands in the same order whatever the number of runs, so the
-    results are bit-identical to one run. Helper threads call only numpy
-    and scipy. The split assumes one BLAS thread per process
-    (``OPENBLAS_NUM_THREADS=1``): with several, the block threads' matrix
-    products wait for one another, and the split is slower than one run.
+    Each mode's blocks are cut into contiguous runs, one per thread: as many
+    as the CPUs this process may run on, but with at least ``_MIN_RUN``
+    blocks each, so a tensor with fewer than twice that many blocks per mode
+    keeps one run and runs on the calling thread alone. A block call hands
+    every run but the first to a helper thread and does the first itself. A
+    run forms its blocks' products, gathers their entries into its slice of
+    the buffer and subtracts the data there; for a gradient it also
+    multiplies its own rows by KR: a CSR matrix, built once, whose data is
+    its slice of the buffer (no mode holds a whole-mode matrix). The caller
+    stacks the runs' rows and sums them over blocks. Every entry, row and
+    block sum is computed by the same operations on the same operands in the
+    same order whatever the number of runs, so the results are bit-identical
+    to one run. Helper threads call only numpy and scipy. The split assumes
+    one BLAS thread per process (``OPENBLAS_NUM_THREADS=1``): with several,
+    the block threads' matrix products wait for one another, and the split
+    is slower than one run.
     """
 
     def __init__(self, data, mask):
+        data = np.asarray(data)
+        if tuple(mask.shape) != data.shape:
+            raise ValueError(f"mask shape {mask.shape} does not match data {data.shape}")
         idx = mask.multi_indices()
-        observed = data[idx]
+        observed = np.asarray(data[idx], dtype=np.float64)
+        if not np.all(np.isfinite(observed)):
+            raise ValueError("data contains non-finite entries at observed positions")
         self.sqrt_fraction = np.sqrt(mask.count / mask.total)
         self._buf = np.empty(mask.count)
-        self.pattern, self.runs = [], []
+        self.runs = []
         cpus = _cpus()
         for j, n in enumerate(mask.shape):
             rest = [i for i in range(len(mask.shape)) if i != j]
@@ -297,21 +305,19 @@ class _MaskedLoss:
                 [idx[i] for i in rest], [mask.shape[i] for i in rest], order="F"
             )
             # one block when not even one column fits: narrower blocks
-            # would not stay in cache, and the pattern would need a row
-            # per (block, row) pair, up to one per tensor entry
+            # would not stay in cache, and the rows would need one per
+            # (block, row) pair, up to one per tensor entry
             width = min(ncols, _BLOCK_BYTES // (8 * n) or ncols)
             nblocks = -(-ncols // width)
             block, local = np.divmod(cols, width)
-            # row (block, i) of the pattern holds block `block` of row i;
-            # entries sorted by it, then by column
+            # row (block, i) holds block `block` of row i; entries sorted
+            # by it, then by column
             key = (block * n + idx[j]) * width + local
             order = np.argsort(key)
             indptr = np.searchsorted(key[order], np.arange(nblocks * n + 1) * width)
-            block = block[order]
+            cols, block = cols[order], block[order]
             # offset in the product block, whose rows are as wide as it is
             offsets = idx[j][order] * np.minimum(width, ncols - block * width) + local[order]
-            pattern = _csr_matrix()((self._buf, cols[order], indptr), shape=(nblocks * n, ncols))
-            self.pattern.append(pattern)
             bounds = indptr[::n].tolist()
             # per non-empty block: its columns, its entries' offsets and
             # their slice of the residual buffer
@@ -322,38 +328,28 @@ class _MaskedLoss:
                 if start < stop
             }
             data_j = observed[order]
-            # runs of blocks b0:b1, one per thread
+            # runs of blocks b0:b1, one per thread, each with its rows
+            # (block, i) as a CSR matrix on its slice of the buffer
             threads = max(1, min(cpus, nblocks // _MIN_RUN))
             cuts = [nblocks * r // threads for r in range(threads + 1)]
-            self.runs.append([
-                (
-                    [blocks[b] for b in range(b0, b1) if b in blocks],
-                    data_j[bounds[b0] : bounds[b1]],
-                    self._buf[bounds[b0] : bounds[b1]],
-                    self._rows(pattern, n * b0, n * b1),
+            runs = []
+            for b0, b1 in zip(cuts, cuts[1:]):
+                lo, hi = bounds[b0], bounds[b1]
+                rows = _csr_matrix()(
+                    (self._buf[lo:hi], cols[lo:hi], indptr[n * b0 : n * b1 + 1] - lo),
+                    shape=(n * (b1 - b0), ncols),
                 )
-                for b0, b1 in zip(cuts, cuts[1:])
-            ])
+                # the constructor copies a slice that does not start its
+                # array; the indices keep the dtype it picks
+                rows.data = self._buf[lo:hi]
+                runs.append(([blocks[b] for b in range(b0, b1) if b in blocks],
+                             data_j[lo:hi], self._buf[lo:hi], rows))
+            self.runs.append(runs)
         # helper threads for every run but the first, started on first use;
         # they end when the kernel is freed. A forked child never shares
         # them: each solve builds its own kernel
         helpers = max(len(runs) for runs in self.runs) - 1
         self._pool = ThreadPoolExecutor(helpers) if helpers else None
-
-    def _rows(self, pattern, r0, r1):
-        """Rows r0:r1 of `pattern` (`pattern` itself for all of them), as a
-        CSR matrix whose data and indices are slices of the shared buffer
-        and of `pattern`'s indices."""
-        if r1 - r0 == pattern.shape[0]:
-            return pattern
-        lo, hi = pattern.indptr[r0], pattern.indptr[r1]
-        rows = _csr_matrix()(
-            (self._buf[lo:hi], pattern.indices[lo:hi], pattern.indptr[r0 : r1 + 1] - lo),
-            shape=(r1 - r0, pattern.shape[1]),
-        )
-        # the constructor copies a slice that does not start its array
-        rows.data, rows.indices = self._buf[lo:hi], pattern.indices[lo:hi]
-        return rows
 
     @staticmethod
     def _do_run(x, kr, run, grad):
@@ -412,14 +408,12 @@ class _MaskedLoss:
 
 
 def _reference_loss(data, mask, factors):
-    """Kernel for the public helpers, after checking their arguments agree."""
-    d = np.asarray(data, dtype=np.float64)
+    """Kernel for the public helpers, after checking the factors against the
+    mask: the kernel's gather would clip offsets out of range."""
     shape, _ = validate_factors(factors)
-    if d.shape != shape:
-        raise ValueError(f"data shape {d.shape} does not match factors {shape}")
     if tuple(mask.shape) != shape:
-        raise ValueError(f"mask shape {mask.shape} does not match data {shape}")
-    return _MaskedLoss(d, mask)
+        raise ValueError(f"mask shape {mask.shape} does not match factors {shape}")
+    return _MaskedLoss(data, mask)
 
 
 def objective(data, mask, factors, lam, spec):
@@ -466,20 +460,12 @@ def extrapolation_weight(l_prev, l_curr, t, delta=0.95):
     return delta * np.sqrt(l_prev / l_curr)
 
 
-def _check_problem(data, mask, config):
-    d = np.asarray(data, dtype=np.float64)
-    shape = d.shape
-    if tuple(mask.shape) != shape:
-        raise ValueError(f"mask shape {mask.shape} does not match data {shape}")
+def _problem(data, mask):
+    """The masked loss of a solve; the regularizer's order is checked by
+    `reg_value` at the first objective evaluation."""
     if mask.count == 0:
         raise ValueError("observation mask is empty")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("data contains non-finite entries")
-    if config.spec.order != d.ndim:
-        raise ValueError(
-            f"regularizer order {config.spec.order} does not match tensor order {d.ndim}"
-        )
-    return d
+    return _MaskedLoss(data, mask)
 
 
 def _prune_zero_components(mats_list, norms):
@@ -506,14 +492,13 @@ def bcde_solve(data, mask, config):
     exact descent step that leaves CP(F) and the loss unchanged. At
     ``lam == 0`` it would lower nothing, and the sweep is left as it is.
     """
-    d = _check_problem(data, mask, config)
-    ndim = d.ndim
+    loss = _problem(data, mask)
+    ndim = len(mask.shape)
     lam, spec = config.lam, config.spec
     terms = spec.mode_terms()
     balance = _balancer(terms)
-    loss = _MaskedLoss(d, mask)
 
-    factors = init_factors(d.shape, config.k_init, config.rng_seed)
+    factors = init_factors(mask.shape, config.k_init, config.rng_seed)
     prev = [f.copy() for f in factors]
     k = config.k_init
 
@@ -617,12 +602,11 @@ def _two_loop(grad, pairs):
 
 def quasi_newton_solve(data, mask, config):
     """Limited-memory BFGS over all factor entries jointly."""
-    d = _check_problem(data, mask, config)
-    ndim = d.ndim
+    loss = _problem(data, mask)
+    dims = mask.shape
+    ndim = len(dims)
     lam, spec = config.lam, config.spec
     terms = spec.mode_terms()
-    dims = d.shape
-    loss = _MaskedLoss(d, mask)
 
     k = config.k_init
     factors = init_factors(dims, k, config.rng_seed)

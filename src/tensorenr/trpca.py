@@ -49,7 +49,8 @@ import numpy as np
 
 from .core import khatri_rao, kr_gram, mttkrp, validate_factors
 from .lrtc import _Run, init_factors
-from .regularizers import RegularizerSpec, _prox_mode, _value_from_norms, soft_threshold_elem
+from .regularizers import (RegularizerSpec, _prox_mode, _snap_reciprocal, _value_from_norms,
+                           soft_threshold_elem)
 
 
 @dataclass
@@ -60,8 +61,9 @@ class TrpcaConfig:
     ``q``, and an ``asym_b`` spec without ``q`` supplies its q. The three
     must then pair: ``q`` is set exactly when the solver is asym, and a
     given ``spec`` is one that :func:`solver_for` pairs with the solver.
-    Otherwise ValueError names the solver. The solvers read ``q``, never
-    ``spec``.
+    Otherwise ValueError names the solver. ``q`` must lie in (0, 1) and is
+    snapped to 2/m as an ``asym_b`` spec's is, or refused. The solvers read
+    ``q``, never ``spec``.
     """
 
     k_init: int
@@ -95,8 +97,10 @@ class TrpcaConfig:
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
         if self.q is None and self.spec is not None and self.spec.kind == "asym_b":
             self.q = self.spec.q
-        if self.q is not None and not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {self.q}")
+        if self.q is not None:
+            if not 0.0 < self.q < 1.0:
+                raise ValueError(f"q must be in (0, 1), got {self.q}")
+            self.q = _snap_reciprocal(self.q, 2.0)
         if (self.q is not None and self.spec is not None and self.spec.kind == "asym_b"
                 and not math.isclose(self.q, self.spec.q, rel_tol=1e-6)):
             raise ValueError(f"q={self.q} differs from the q of regularizer {self.spec.label()}")

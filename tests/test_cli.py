@@ -274,6 +274,8 @@ class TestTrpcaCommand:
         assert outputs("x", "--q", "0.5", "--reg", "sym:p=0.6667") == 1
         assert "solver 'asym' does not fit regularizer sym:p=0.6667" in capsys.readouterr().err
         assert outputs("x", "--q", "0.3", "--reg", "asym_b:q=0.5") == 1
+        assert "exponent q=0.3 is not of the form 2.0/m" in capsys.readouterr().err
+        assert outputs("x", "--q", "0.4", "--reg", "asym_b:q=0.5") == 1
         assert "differs from the q of regularizer" in capsys.readouterr().err
         for a, b in (
             (outputs("by_q", "--q", "0.5"), outputs("both", "--q", "0.5", "--reg", "asym_b:q=0.5")),
@@ -408,7 +410,8 @@ class TestSweepCommand:
         ("lrtc", "rho=0", "rho must be positive, got 0.0"),
         ("trpca", "solver=asym\nq=0.5\nreg=sym:p=0.3333", "solver 'asym' does not fit"),
         ("trpca", "q=1.5", "q must be in (0, 1), got 1.5"),
-        ("trpca", "q=0.3\nreg=asym_b:q=0.5", "q=0.3 differs from the q of regularizer"),
+        ("trpca", "q=0.3\nreg=asym_b:q=0.5", "exponent q=0.3 is not of the form 2.0/m"),
+        ("trpca", "q=0.4\nreg=asym_b:q=0.5", "q=0.4 differs from the q of regularizer"),
         ("lrtc", "q=0.3", "task lrtc does not read q"),
         ("trpca", "rho=2", "task trpca does not read rho"),
     ])
@@ -419,6 +422,13 @@ class TestSweepCommand:
         out = tmp_path / "report.csv"
         assert run_cli("sweep", cfg, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_zero_size_dimension_exits_before_any_cell(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "task=lrtc\nshape=0x5x5\nrank=1\n")
+        out = tmp_path / "report.csv"
+        assert run_cli("sweep", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: all dimensions must be >= 1")
         assert not out.exists()
 
     def test_comments_and_blanks_ignored(self):

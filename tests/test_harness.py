@@ -388,11 +388,11 @@ class TestRunExperiment:
             assert (a[6], a[9], a[10]) == (b[6], b[9], b[10])
             assert a[6] != ""
 
-    @pytest.mark.parametrize("q, p_eff", [(0.5, "0.3333333333"), (0.3, "0.2307692308")])
+    @pytest.mark.parametrize("q, p_eff", [(0.5, "0.3333333333"), (2.0 / 7.0, "0.2222222222"),
+                                          (0.5000001, "0.3333333333")])
     def test_asym_by_q_reports_its_effective_power(self, q, p_eff):
         # an asym sweep selected by q alone charges asym_b's penalty for
-        # that q, 2q / (2 + q(d - 1)), and reports its power, snapped to
-        # 2/m (q = 0.5) or not (q = 0.3)
+        # that q snapped to 2/m, 2q / (2 + q(d - 1)), and reports its power
         spec = ExperimentSpec(task="trpca", shape=(6, 6, 6), true_rank=2, sparse_density=0.1,
                               q=q, lambdas=(0.1,), t_max=5)
         rows = [line.split(",") for line in run_experiment(spec, timing=False).splitlines()[1:]]

@@ -415,6 +415,39 @@ def test_lbfgs_skips_the_penalty_gradient_at_lambda_zero(monkeypatch):
     assert quasi_newton_solve(data, mask, cfg).iterations > 0
 
 
+@pytest.mark.parametrize("solver", ["bcde", "qn"])
+def test_completion_input_checks(solver):
+    # the kernel refuses a mask of another shape and non-finite data where
+    # observed, and never reads an unobserved entry; reg_value refuses a
+    # spec of another order; the public helpers refuse factors whose shape
+    # is not the mask's, which the kernel's clipping gather would not see
+    shape = (4, 5, 3)
+    data, _ = rank_one_problem(shape, 21)
+    mask = sample_mask(shape, 0.5, seed=21)
+    cfg = LrtcConfig(k_init=2, lam=0.1, spec=sym_spec(3, 1.0 / 3.0), solver=solver, t_max=20)
+    first = np.unravel_index(mask.linear_indices[0], shape, order="F")
+    for bad in (np.nan, np.inf, -np.inf):
+        d = data.copy()
+        d[first] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(d, mask, cfg)
+    with pytest.raises(ValueError, match="mask shape"):
+        solve(data[:, :, :2], mask, cfg)
+    with pytest.raises(ValueError, match="spec expects"):
+        solve(data, mask, LrtcConfig(k_init=2, lam=0.1, spec=sym_spec(4, 0.25), solver=solver))
+    zero, nan = data.copy(), data.copy()
+    unobserved = mask.complement().multi_indices()
+    zero[unobserved], nan[unobserved] = 0.0, np.nan
+    a, b = solve(zero, mask, cfg), solve(nan, mask, cfg)
+    assert np.array_equal(a.recovered, b.recovered)
+    assert a.objective_trace == b.objective_trace
+    wrong = init_factors((4, 5, 2), 2, seed=0)
+    with pytest.raises(ValueError, match="does not match factors"):
+        objective(data, mask, wrong, cfg.lam, cfg.spec)
+    with pytest.raises(ValueError, match="does not match factors"):
+        smooth_grad(data, mask, wrong, 0)
+
+
 class TestQuasiNewtonSolve:
     def test_exact_fit_rank_one(self):
         data, mask = rank_one_problem((10, 10, 10), 21)
@@ -648,7 +681,8 @@ def test_blocked_kernel_matches_reference(shape, k, missing, block_bytes, seed):
     for j, n in enumerate(shape):
         ncols = mask.total // n
         width = min(ncols, block_bytes // (8 * n) or ncols)
-        assert loss.pattern[j].shape == (-(-ncols // width) * n, ncols)
+        assert sum(run[-1].shape[0] for run in loss.runs[j]) == -(-ncols // width) * n
+        assert all(run[-1].shape[1] == ncols for run in loss.runs[j])
         kr = khatri_rao(factors, skip=j)
         want = -unfold(res, j) @ kr
         got = loss.block_grad(factors[j], kr, j)
@@ -676,7 +710,7 @@ def test_block_call_forms_no_whole_product():
         finally:
             tracemalloc.stop()
         assert peak < 8 * total / 2
-    assert all(pattern.shape[0] == 4 * 80 for pattern in loss.pattern)
+    assert all(sum(run[-1].shape[0] for run in runs) == 4 * 80 for runs in loss.runs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -719,8 +753,8 @@ def test_masked_loss_reuses_its_buffer_without_aliasing_results():
     mask = sample_mask(shape, 0.6, seed=11)
     loss = _MaskedLoss(data, mask)
     buf = loss._buf
-    for pattern in loss.pattern:
-        assert np.shares_memory(pattern.data, buf)
+    for runs in loss.runs:
+        assert all(np.shares_memory(run[-1].data, buf) for run in runs)
     calls = [("grad", 0), ("grad", 0), ("value", None), ("grad", 2), ("grad", 1),
              ("value", None), ("grad", 2), ("grad", 3), ("grad", 0), ("value", None)]
     kept = []
@@ -756,7 +790,7 @@ def test_thread_split_is_bit_identical(shape, k, missing, block_bytes, threads, 
     # empty, which the split hands out in runs to up to three threads (more
     # than this machine may have); value, every block gradient and the
     # residual buffer must keep the bits of one run on the calling thread,
-    # and each run's pattern rows must read the shared buffer and indices
+    # and each run's rows must read the shared buffer
     shape = tuple(shape)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(shape)
@@ -776,15 +810,14 @@ def test_thread_split_is_bit_identical(shape, k, missing, block_bytes, threads, 
         assert split.value(factors) == one.value(factors)
         assert np.array_equal(split._buf, one._buf)
         for j, n in enumerate(shape):
-            pattern = split.pattern[j]
+            ncols = math.prod(shape) // n
+            nblocks = -(-ncols // min(ncols, block_bytes // (8 * n) or ncols))
             runs = split.runs[j]
-            assert len(runs) == max(1, min(threads, pattern.shape[0] // n // min_run))
-            assert sum(run[-1].shape[0] for run in runs) == pattern.shape[0]
+            assert len(runs) == max(1, min(threads, nblocks // min_run))
+            assert sum(run[-1].shape[0] for run in runs) == nblocks * n
             for run in runs:
-                rows = run[-1]
-                if rows.nnz:
-                    assert np.shares_memory(rows.data, split._buf)
-                    assert np.shares_memory(rows.indices, pattern.indices)
+                if run[-1].nnz:
+                    assert np.shares_memory(run[-1].data, split._buf)
             kr = khatri_rao(factors, skip=j)
             got = split.block_grad(factors[j], kr, j)
             assert np.array_equal(got, one.block_grad(factors[j], kr, j))
@@ -795,9 +828,11 @@ def test_thread_split_is_bit_identical(shape, k, missing, block_bytes, threads, 
 
 def test_thread_split_engages_only_with_enough_blocks(monkeypatch):
     # 100^3 has eight 1 MiB column blocks per mode, two runs of four on two
-    # CPUs; 80^3 has four, too few to split
+    # CPUs; 80^3 has four, too few to split. Every run's rows keep the
+    # index dtype scipy picks, not the int64 of the sorted column indices
     monkeypatch.setattr(lrtc, "_cpus", lambda: 2)
     for n, runs in ((100, 2), (80, 1), (30, 1)):
         shape = (n, n, n)
         loss = _MaskedLoss(np.zeros(shape), sample_mask(shape, 0.99, seed=0))
         assert [len(r) for r in loss.runs] == [runs] * 3
+        assert all(run[-1].indices.dtype == np.int32 for r in loss.runs for run in r)

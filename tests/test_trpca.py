@@ -347,7 +347,12 @@ class TestAsymSolve:
     def test_rejects_q_that_differs_from_the_spec(self):
         spec = RegularizerSpec("asym_b", 3, q=0.5)
         with pytest.raises(ValueError, match="differs from the q of regularizer asym_b:q=0.5"):
-            TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=spec, q=0.3, solver="asym")
+            TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=spec, q=2.0 / 7.0, solver="asym")
+        # q snaps to 2/m as the spec's does, whether or not a spec is given
+        for given in (spec, None):
+            with pytest.raises(ValueError, match="q=0.3 is not of the form 2.0/m"):
+                TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=given, q=0.3, solver="asym")
+        assert TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, q=0.5000001).q == 0.5
         cfg = TrpcaConfig(k_init=2, lam_x=0.1, lam_e=0.1, spec=spec, q=0.5, solver="asym")
         assert cfg.q == spec.q
 
