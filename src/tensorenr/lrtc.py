@@ -145,87 +145,73 @@ class LrtcConfig:
             raise ValueError(f"conv_tol must be non-negative, got {self.conv_tol}")
 
 
-@dataclass
 class SolveReport:
-    """Outcome of one solver run.
+    """One solver run, filled in as it runs: ``SolveReport()`` starts its
+    clock, the solver records every point it reaches and ends the run with
+    :meth:`finish`, which sets ``factors``, ``recovered`` (their CP
+    reconstruction) and ``wall_time``.
 
     ``objective_trace``, ``rank_trace`` and ``time_trace`` are aligned:
-    entry 0 describes the initial point, entry t the state after sweep t.
-    ``wall_time`` is not deterministic; everything else is for a fixed
-    input and seed. ``stop_reason`` names why the solve stopped: ``tol``
-    (the stop test of the solver passed), ``rank_zero`` (every component
-    was pruned), ``t_max`` (the iteration budget ran out),
+    entry 0 describes the initial point (at 0.0 seconds), entry t the state
+    after sweep t. ``final_rank`` and ``converged`` are read off the factors
+    and the stop reason. The seconds are not deterministic; everything else
+    is for a fixed input and seed. ``stop_reason`` names why the solve
+    stopped: ``tol`` (the stop test of the solver passed), ``rank_zero``
+    (every component was pruned), ``t_max`` (the iteration budget ran out),
     ``safeguard_cap`` (a BCDE sweep still raised the objective at the
     largest curvature multiplier; the last accepted iterate is returned,
-    and ``iterations`` counts the accepted sweeps)
-    or ``line_search_fail`` (no L-BFGS step decreased the objective).
-    ``converged`` holds for the first two. ``evaluations`` counts the
-    objective evaluations, the initial point's included: BCDE's safeguard
-    retries and L-BFGS's line-search trials and pruning restarts each add
-    one, so it can exceed ``iterations + 1``.
+    and ``iterations`` counts the accepted sweeps) or ``line_search_fail``
+    (no L-BFGS step decreased the objective). ``converged`` holds for the
+    first two. ``evaluations`` counts the objective evaluations, the
+    initial point's included: BCDE's safeguard retries and L-BFGS's
+    line-search trials and pruning restarts each add one, so it can exceed
+    ``iterations + 1``.
     """
 
-    recovered: np.ndarray
-    factors: list
-    final_rank: int
-    objective_trace: list
-    iterations: int
-    wall_time: float
-    converged: bool
-    rank_trace: list
-    time_trace: list
-    stop_reason: str
-    evaluations: int
+    def __init__(self):
+        self._start = time.perf_counter()
+        self.objective_trace, self.rank_trace, self.time_trace = [], [], []
+        self.iterations = self.evaluations = 0
+        self.stop_reason = "t_max"
+        self.factors = self.recovered = self.wall_time = None
+
+    @property
+    def final_rank(self):
+        return self.factors[0].shape[1]
+
+    @property
+    def converged(self):
+        return self.stop_reason in ("tol", "rank_zero")
+
+    def record(self, objective, rank):
+        self.objective_trace.append(objective)
+        self.rank_trace.append(rank)
+        self.time_trace.append(time.perf_counter() - self._start if self.time_trace else 0.0)
+
+    def settled(self, tol):
+        """Whether the last two recorded objectives agree to `tol` relatively."""
+        before, after = self.objective_trace[-2:]
+        return abs(before - after) <= tol * max(1.0, abs(before))
+
+    def stop(self, converged):
+        """Whether the solve ends at rank zero or `converged`; sets the stop reason."""
+        if self.rank_trace[-1] == 0 or converged:
+            self.stop_reason = "rank_zero" if self.rank_trace[-1] == 0 else "tol"
+            return True
+        return False
+
+    def finish(self, factors):
+        """End the run at `factors`: the report is complete."""
+        self.factors = factors
+        self.recovered = cp_reconstruct(factors)
+        self.wall_time = time.perf_counter() - self._start
+        return self
 
     def trace_csv(self):
         """Per-iteration trace as CSV text with header iter,objective,rank,seconds."""
         rows = zip(self.objective_trace, self.rank_trace, self.time_trace)
         lines = [f"{i},{obj:.12g},{rank},{sec:.6f}" for i, (obj, rank, sec) in enumerate(rows)]
         return "\n".join(["iter,objective,rank,seconds"] + lines) + "\n"
-
-
-class _Run:
-    """One solve, timed from construction: its aligned per-sweep traces,
-    the counts and stop reason the solver sets, and the
-    :class:`SolveReport` assembled from them."""
-
-    def __init__(self):
-        self.start = time.perf_counter()
-        self.objective, self.rank, self.seconds = [], [], []
-        self.iterations = self.evaluations = 0
-        self.stop_reason = "t_max"
-
-    def record(self, objective, rank):
-        self.objective.append(objective)
-        self.rank.append(rank)
-        self.seconds.append(time.perf_counter() - self.start if self.seconds else 0.0)
-
-    def settled(self, tol):
-        """Whether the last two recorded objectives agree to `tol` relatively."""
-        before, after = self.objective[-2:]
-        return abs(before - after) <= tol * max(1.0, abs(before))
-
-    def stop(self, converged):
-        """Whether the solve ends at rank zero or `converged`; sets the stop reason."""
-        if self.rank[-1] == 0 or converged:
-            self.stop_reason = "rank_zero" if self.rank[-1] == 0 else "tol"
-            return True
-        return False
-
-    def report(self, factors):
-        return SolveReport(
-            recovered=cp_reconstruct(factors),
-            factors=factors,
-            final_rank=factors[0].shape[1],
-            objective_trace=self.objective,
-            iterations=self.iterations,
-            wall_time=time.perf_counter() - self.start,
-            converged=self.stop_reason in ("tol", "rank_zero"),
-            rank_trace=self.rank,
-            time_trace=self.seconds,
-            stop_reason=self.stop_reason,
-            evaluations=self.evaluations,
-        )
 
 
 def init_factors(shape, k, seed):
@@ -502,7 +488,7 @@ def bcde_solve(data, mask, config):
     prev = [f.copy() for f in factors]
     k = config.k_init
 
-    run = _Run()
+    run = SolveReport()
     # the mode-0 Khatri-Rao matrix of each objective evaluation serves the
     # next sweep's mode-0 block (and its safeguard retries) unchanged
     kr0 = khatri_rao(factors, skip=0)
@@ -570,7 +556,7 @@ def bcde_solve(data, mask, config):
             break
         obj = cand
 
-    return run.report(factors)
+    return run.finish(factors)
 
 
 def _reg_grad_mode(x, term):
@@ -657,7 +643,7 @@ def quasi_newton_solve(data, mask, config):
             step *= 0.5
         return None, None
 
-    run = _Run()
+    run = SolveReport()
     x = pack(factors)
     f = fun(x, k)
     g = grad(x, k)
@@ -703,7 +689,7 @@ def quasi_newton_solve(data, mask, config):
         if run.stop(run.settled(config.conv_tol)):
             break
 
-    return run.report(unpack(x, k))
+    return run.finish(unpack(x, k))
 
 
 def solve(data, mask, config):

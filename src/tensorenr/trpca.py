@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import khatri_rao, kr_gram, mttkrp, validate_factors
-from .lrtc import _Run, init_factors
+from .lrtc import SolveReport, init_factors
 from .regularizers import (RegularizerSpec, _prox_mode, _snap_reciprocal, _value_from_norms,
                            soft_threshold_elem)
 
@@ -290,7 +290,7 @@ def _drive(data, config, terms, public=0):
     spare = np.empty(data.shape)
     fit = _fit(data, factors)
 
-    run = _Run()
+    run = SolveReport()
     run.record(_objective(fit, factors, sparse, terms, config.lam_x, config.lam_e), config.k_init)
 
     for t in range(1, config.t_max + 1):
@@ -321,8 +321,8 @@ def _drive(data, config, terms, public=0):
             break
 
     # every objective evaluation is a recorded point
-    run.evaluations = len(run.objective)
-    return run.report(factors), sparse
+    run.evaluations = len(run.objective_trace)
+    return run.finish(factors), sparse
 
 
 def trpca_admm_solve(data, config):
