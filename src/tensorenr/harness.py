@@ -14,10 +14,10 @@ loaded modules and monkeypatches; forkserver, the Linux default from
 Python 3.14, would give neither. For completion the caller loads
 ``scipy.sparse``, which the package otherwise leaves unimported, before
 forking, so no worker imports it again; robust PCA needs numpy alone.
-Each row's seconds are the cell's wall time inside its worker. Workers
-inherit the caller's BLAS thread setting, and each splits its completion
-kernel's block calls among its share of the CPUs (their number divided
-by the number of workers), not among all of them.
+Each row's seconds are the cell's wall time inside its worker. Each
+worker runs one BLAS thread, whatever the caller runs, and splits its
+completion kernel's block calls among its share of the CPUs (their number
+divided by the number of workers), not among all of them.
 """
 
 from __future__ import annotations
@@ -339,16 +339,14 @@ def run_experiment(spec, timing=True, out_path=None):
     a forked worker starts with the caller's imported modules and runs
     the caller's bindings, monkeypatches included. For a completion spec
     the caller first loads ``scipy.sparse`` (``lrtc._csr_matrix``), so the
-    workers inherit it instead of each importing the module. Workers
-    inherit the caller's BLAS thread setting and do not pin it, which
-    would need threadpoolctl (not a dependency) or ctypes calls into the
-    BLAS library; set ``OPENBLAS_NUM_THREADS=1`` (or your BLAS's variable)
-    before numpy loads to give each worker one BLAS thread. The pool
-    initializer gives each worker its share of the CPUs for the threads of
-    the completion kernel (``lrtc._share_cpus``): the CPUs this process may
-    run on divided by the number of workers, at least one. Two workers on
-    two CPUs thus run one thread each; more threads per worker than CPUs
-    per worker ran a 100x100x100 two-cell sweep about 5% slower.
+    workers inherit it instead of each importing the module. The pool
+    initializer (``lrtc._share_cpus``) pins one BLAS thread in each worker
+    (``lrtc._blas_threads``; a no-op for a BLAS other than numpy's bundled
+    OpenBLAS, which then keeps the caller's setting) and gives it its share
+    of the CPUs for the threads of the completion kernel: the CPUs this
+    process may run on divided by the number of workers, at least one. Two
+    workers on two CPUs thus run one thread each; more threads per worker
+    than CPUs per worker ran a 100x100x100 two-cell sweep about 5% slower.
 
     The seconds column is each cell's wall time measured inside its
     worker. With ``timing=False`` it is zeroed, which makes the output

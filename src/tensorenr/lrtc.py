@@ -20,7 +20,8 @@ of the Euclidean-norm regularizers:
 
 Both adapt the working rank: components whose columns vanish (exactly for
 the proximal solver, below ``_PRUNE_TOL`` for the quasi-Newton one) are
-removed as the iteration proceeds. Both, and the public helpers
+removed as the iteration proceeds. Both, and the robust-PCA solvers, fill
+one :class:`SolveReport` as they run. Both, and the public helpers
 :func:`objective`, :func:`smooth_grad` and :func:`estimate_lipschitz`,
 evaluate the masked loss through one kernel built once per call. That
 kernel is the one check of the data against the mask, and it reads, and
@@ -33,13 +34,15 @@ their blocks into runs of at least ``_MIN_RUN`` blocks, one per CPU the
 process may run on (its share of them in a sweep's pool worker), and run
 all but the first on helper threads, with bit-identical results; one-block
 tensors and single-CPU processes run on the calling thread alone. This
-assumes one BLAS thread (``OPENBLAS_NUM_THREADS=1``). The block curvature
+assumes one BLAS thread: a sweep's pool workers pin it (``_blas_threads``),
+and a plain solve needs ``OPENBLAS_NUM_THREADS=1``. The block curvature
 is the exact squared spectral norm of the Khatri-Rao matrix, taken from
 the Hadamard product of the other modes' k x k Grams.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -105,10 +108,32 @@ def _csr_matrix():
     return csr_matrix
 
 
+def _blas_threads(threads=None):
+    """Thread count of the BLAS that numpy loaded, after setting it to
+    `threads` when given. It calls the thread functions of numpy's bundled
+    scipy-openblas (``numpy.libs/libscipy_openblas64_*.so``) through
+    ctypes; where numpy's BLAS exports none (MKL, Accelerate, a system
+    OpenBLAS) it is a no-op that returns None."""
+    try:
+        # symbols are looked up in numpy's core module and the libraries it loaded
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    # int openblas_get_num_threads(void); void openblas_set_num_threads(int)
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    if threads is not None:
+        put(threads)
+    return get()
+
+
 def _share_cpus(processes):
-    """Give this process its share of CPUs that `processes` processes use."""
+    """Give this process its share of CPUs that `processes` processes use,
+    and one BLAS thread."""
     global _sharers
     _sharers = processes
+    _blas_threads(1)
 
 
 @dataclass

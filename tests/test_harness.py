@@ -536,6 +536,25 @@ class TestRunExperiment:
         assert [r[-1] for r in rows] == [f"RuntimeError: cpus={threads}"] * cells
         assert lrtc._cpus() == 4
 
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # the pool initializer pins one BLAS thread in each worker, whatever
+        # the caller runs; a cell reports its worker's count
+        import tensorenr.harness as hs
+        from tensorenr import lrtc
+
+        parent = lrtc._blas_threads()
+        if parent is None or parent < 2:
+            pytest.skip(f"numpy's BLAS runs {parent} threads here; nothing to pin")
+
+        def report(spec, seed, lam, timing=True):
+            raise RuntimeError(f"blas={lrtc._blas_threads()}")
+
+        monkeypatch.setattr(hs, "run_single", report)
+        text = run_experiment(self.small_spec(seeds=(0, 1)), timing=False)
+        rows = [ln.split(",") for ln in text.strip().splitlines()[1:-1]]
+        assert [r[-1] for r in rows] == ["RuntimeError: blas=1"] * 2
+        assert lrtc._blas_threads() == parent
+
     def test_pool_size_follows_the_affinity_mask(self, monkeypatch):
         # a mask narrower than the machine: the pool starts one worker per
         # CPU the process may run on, not per CPU of the machine
