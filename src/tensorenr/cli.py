@@ -282,6 +282,8 @@ def _cmd_sweep(args):
 def _cmd_eval(args):
     truth = read_tensor(args.truth)
     estimate = read_tensor(args.estimate)
+    if not (np.isfinite(truth).all() and np.isfinite(estimate).all()):
+        raise UsageError("truth and estimate must be finite")
     eval_mask = None if args.mask is None else _held_out(read_mask(args.mask))
     err = relative_error(truth, estimate, eval_mask)
     quality = psnr(truth, estimate)

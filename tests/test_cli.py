@@ -8,7 +8,7 @@ from tensorenr import cli
 from tensorenr.cli import UsageError, main, parse_sweep_config
 from tensorenr.core import ObservationMask
 from tensorenr.regularizers import RegularizerSpec
-from tensorenr.tensorio import read_tensor, write_mask, write_tensor
+from tensorenr.tensorio import read_mask, read_tensor, write_mask, write_tensor
 from tensorenr.trpca import TrpcaConfig, solver_for, trpca_solve
 
 
@@ -31,6 +31,56 @@ def lrtc_files(tmp_path):
     )
     assert rc == 0
     return prefix
+
+
+def write_raw(path, tensor):
+    """Write `tensor` in the tensor file layout, non-finite entries included
+    (``write_tensor`` refuses those): the header of a finite tensor of its
+    shape, then the entries."""
+    write_tensor(path, np.zeros(tensor.shape))
+    header = path.read_bytes()[: -8 * tensor.size]
+    path.write_bytes(header + np.ravel(tensor, order="F").astype("<f8").tobytes())
+
+
+class TestNonFiniteFiles:
+    # files are read without a finiteness pass: each command checks the
+    # entries it uses
+
+    def test_lrtc_reads_nan_at_unobserved_entries_as_zero(self, lrtc_files, tmp_path, capsys):
+        data = read_tensor(f"{lrtc_files}_data.tnsr")
+        unobserved = np.ones(data.shape, dtype=bool)
+        unobserved[read_mask(f"{lrtc_files}_mask.msk").multi_indices()] = False
+        outputs = []
+        for fill in (0.0, np.nan):
+            filled = np.where(unobserved, fill, data)
+            write_raw(tmp_path / f"{fill}.tnsr", filled)
+            out = str(tmp_path / f"rec_{fill}")
+            rc = run_cli(
+                "lrtc", "--data", str(tmp_path / f"{fill}.tnsr"),
+                "--mask", f"{lrtc_files}_mask.msk",
+                "--k", "2", "--lambda", "0.1", "--tmax", "30", "--out", out,
+            )
+            assert rc == 0
+            # the trace's seconds column is not deterministic
+            trace = [ln.rsplit(",", 1)[0] for ln in open(f"{out}_trace.csv")]
+            outputs.append((open(f"{out}.tnsr", "rb").read(), trace, capsys.readouterr().out))
+        assert np.isnan(read_tensor(tmp_path / "nan.tnsr")[unobserved]).all()
+        assert outputs[0] == outputs[1]
+
+    def test_trpca_and_eval_refuse_a_nan_file(self, lrtc_files, tmp_path, capsys):
+        truth = f"{lrtc_files}_truth.tnsr"
+        bad = read_tensor(truth)
+        bad[1, 2, 3] = np.nan
+        write_raw(tmp_path / "bad.tnsr", bad)
+        rc = run_cli(
+            "trpca", "--data", str(tmp_path / "bad.tnsr"), "--k", "2", "--lambda-x", "0.1",
+            "--lambda-e", "0.3", "--out", str(tmp_path / "x"),
+        )
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
+        for pair in ((truth, str(tmp_path / "bad.tnsr")), (str(tmp_path / "bad.tnsr"), truth)):
+            assert run_cli("eval", "--truth", pair[0], "--estimate", pair[1]) == 1
+            assert "must be finite" in capsys.readouterr().err
 
 
 class TestGen:
