@@ -554,6 +554,37 @@ class TestSolveDispatch:
         for i, (line, (obj, rank, sec)) in enumerate(zip(lines[1:], traces)):
             assert line == f"{i},{obj:.12g},{rank},{sec:.6f}"
 
+    @pytest.mark.parametrize("solver", ["bcde", "qn", "admm", "asym", "als"])
+    def test_report_is_one_consistent_record(self, solver):
+        # budgets and penalties chosen so that the stop reasons vary: a
+        # 3-sweep budget, a loose tolerance and a penalty that prunes
+        data, mask = rank_one_problem((4, 4, 4), 31)
+        reasons = set()
+        for t_max, tol, lam in ((3, 0.0, 0.01), (200, 1e-2, 0.01), (200, 1e-8, 1e6)):
+            if solver in ("bcde", "qn"):
+                rep = solve(data, mask, LrtcConfig(k_init=2, lam=lam, spec=sym_spec(3, 1.0 / 3.0),
+                                                   solver=solver, t_max=t_max, conv_tol=tol))
+            else:
+                rep, _ = trpca_solve(data, TrpcaConfig(
+                    k_init=2, lam_x=lam, lam_e=0.1, q=0.5 if solver == "asym" else None,
+                    solver=solver, t_max=t_max, conv_tol=tol))
+            reasons.add(rep.stop_reason)
+            assert rep.time_trace[0] == 0.0
+            assert rep.wall_time >= rep.time_trace[-1]
+            assert rep.converged == (rep.stop_reason in ("tol", "rank_zero"))
+            assert rep.final_rank == rep.factors[0].shape[1] == rep.rank_trace[-1]
+            assert np.array_equal(rep.recovered, cp_reconstruct(rep.factors))
+        # ALS splits no mode, so it never prunes
+        assert reasons == {"t_max", "tol"} | ({"rank_zero"} if solver != "als" else set())
+
+    def test_report_starts_its_own_clock(self):
+        rep = lrtc.SolveReport()
+        assert (rep.objective_trace, rep.iterations, rep.stop_reason) == ([], 0, "t_max")
+        with pytest.raises(TypeError):
+            lrtc.SolveReport(0.0)
+        with pytest.raises(TypeError):
+            lrtc.SolveReport(start=0.0)
+
     def test_config_validation(self):
         spec = sym_spec(3, 0.5)
         with pytest.raises(ValueError):
