@@ -226,7 +226,8 @@ class SolveReport:
         return False
 
     def finish(self, factors):
-        """End the run at `factors`: the report is complete."""
+        """End the run at `factors`, setting them, their reconstruction and
+        the wall time; returns the completed report."""
         self.factors = factors
         self.recovered = cp_reconstruct(factors)
         self.wall_time = time.perf_counter() - self._start
