@@ -54,16 +54,17 @@ class TestNonFiniteFiles:
         for fill in (0.0, np.nan):
             filled = np.where(unobserved, fill, data)
             write_raw(tmp_path / f"{fill}.tnsr", filled)
-            out = str(tmp_path / f"rec_{fill}")
+            out = tmp_path / f"rec_{fill}"
             rc = run_cli(
                 "lrtc", "--data", str(tmp_path / f"{fill}.tnsr"),
                 "--mask", f"{lrtc_files}_mask.msk",
-                "--k", "2", "--lambda", "0.1", "--tmax", "30", "--out", out,
+                "--k", "2", "--lambda", "0.1", "--tmax", "30", "--out", str(out),
             )
             assert rc == 0
             # the trace's seconds column is not deterministic
-            trace = [ln.rsplit(",", 1)[0] for ln in open(f"{out}_trace.csv")]
-            outputs.append((open(f"{out}.tnsr", "rb").read(), trace, capsys.readouterr().out))
+            trace = (tmp_path / f"rec_{fill}_trace.csv").read_text().splitlines()
+            outputs.append(((tmp_path / f"rec_{fill}.tnsr").read_bytes(),
+                            [ln.rsplit(",", 1)[0] for ln in trace], capsys.readouterr().out))
         assert np.isnan(read_tensor(tmp_path / "nan.tnsr")[unobserved]).all()
         assert outputs[0] == outputs[1]
 
