@@ -15,9 +15,10 @@ Python 3.14, would give neither. For completion the caller loads
 ``scipy.sparse``, which the package otherwise leaves unimported, before
 forking, so no worker imports it again; robust PCA needs numpy alone.
 Each row's seconds are the cell's wall time inside its worker. Each
-worker runs one BLAS thread, whatever the caller runs, and splits its
-completion kernel's block calls among its share of the CPUs (their number
-divided by the number of workers), not among all of them.
+worker has its share of the CPUs (their number divided by the number of
+workers): a completion worker splits its kernel's block calls among them
+and runs one BLAS thread, whatever the caller runs, and a robust-PCA
+worker lets BLAS run on them, on no more threads than the caller runs.
 """
 
 from __future__ import annotations
@@ -340,13 +341,18 @@ def run_experiment(spec, timing=True, out_path=None):
     the caller's bindings, monkeypatches included. For a completion spec
     the caller first loads ``scipy.sparse`` (``lrtc._csr_matrix``), so the
     workers inherit it instead of each importing the module. The pool
-    initializer (``lrtc._share_cpus``) pins one BLAS thread in each worker
-    (``lrtc._blas_threads``; a no-op for a BLAS other than numpy's bundled
-    OpenBLAS, which then keeps the caller's setting) and gives it its share
-    of the CPUs for the threads of the completion kernel: the CPUs this
-    process may run on divided by the number of workers, at least one. Two
-    workers on two CPUs thus run one thread each; more threads per worker
-    than CPUs per worker ran a 100x100x100 two-cell sweep about 5% slower.
+    initializer (``lrtc._share_cpus``) gives each worker its share of the
+    CPUs: the CPUs this process may run on divided by the number of
+    workers, at least one. A completion worker runs the completion kernel's
+    threads on its share and pins one BLAS thread; a robust-PCA worker,
+    which starts no threads of its own, lets BLAS run on its share, but on
+    no more threads than the caller runs (``lrtc._blas_threads``; a no-op
+    for a BLAS other than numpy's bundled OpenBLAS, which then keeps the
+    caller's setting). Two workers on two CPUs thus run one thread each;
+    more threads per worker than CPUs per worker ran a 100x100x100
+    two-cell sweep about 5% slower. A one-cell 80x80x80 sweep on two CPUs,
+    whose one worker has both, ran 12% slower for completion with two BLAS
+    threads and 14% slower for robust PCA (admm) with one.
 
     The seconds column is each cell's wall time measured inside its
     worker. With ``timing=False`` it is zeroed, which makes the output
@@ -367,7 +373,7 @@ def run_experiment(spec, timing=True, out_path=None):
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_share_cpus,
-        initargs=(workers,),
+        initargs=(workers, spec.task == "trpca"),
     )
     try:
         futures = [_submit(pool, spec, seed, lam, timing) for lam, seed in cells]

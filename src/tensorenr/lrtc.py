@@ -34,10 +34,10 @@ their blocks into runs of at least ``_MIN_RUN`` blocks, one per CPU the
 process may run on (its share of them in a sweep's pool worker), and run
 all but the first on helper threads, with bit-identical results; one-block
 tensors and single-CPU processes run on the calling thread alone. This
-assumes one BLAS thread: a sweep's pool workers pin it (``_blas_threads``),
-and a plain solve needs ``OPENBLAS_NUM_THREADS=1``. The block curvature
-is the exact squared spectral norm of the Khatri-Rao matrix, taken from
-the Hadamard product of the other modes' k x k Grams.
+assumes one BLAS thread: a completion sweep's pool workers pin it
+(``_blas_threads``), and a plain solve needs ``OPENBLAS_NUM_THREADS=1``.
+The block curvature is the exact squared spectral norm of the Khatri-Rao
+matrix, taken from the Hadamard product of the other modes' k x k Grams.
 """
 
 from __future__ import annotations
@@ -128,12 +128,16 @@ def _blas_threads(threads=None):
     return get()
 
 
-def _share_cpus(processes):
-    """Give this process its share of CPUs that `processes` processes use,
-    and one BLAS thread."""
+def _share_cpus(processes, blas_share):
+    """Give this process its share of CPUs that `processes` processes use.
+    With `blas_share` BLAS takes that share, lowered from but never raised
+    above the thread count this process inherited; without it the
+    completion kernel's threads take the share and BLAS runs one thread."""
     global _sharers
     _sharers = processes
-    _blas_threads(1)
+    threads = _blas_threads()
+    if threads is not None:
+        _blas_threads(min(threads, _cpus()) if blas_share else 1)
 
 
 @dataclass

@@ -536,24 +536,35 @@ class TestRunExperiment:
         assert [r[-1] for r in rows] == [f"RuntimeError: cpus={threads}"] * cells
         assert lrtc._cpus() == 4
 
-    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        # the pool initializer pins one BLAS thread in each worker, whatever
-        # the caller runs; a cell reports its worker's count
+    @pytest.mark.parametrize("task, cells, caller, blas", [
+        ("lrtc", 1, 4, 1), ("trpca", 4, 4, 1), ("trpca", 2, 4, 2), ("trpca", 1, 2, 2)])
+    def test_pool_workers_set_their_blas_threads(self, monkeypatch, task, cells, caller, blas):
+        # on 4 CPUs a completion worker pins one BLAS thread, whatever the
+        # caller runs, and a robust-PCA worker its share of the CPUs, but no
+        # more than the caller's count; a cell reports its worker's count
         import tensorenr.harness as hs
         from tensorenr import lrtc
 
         parent = lrtc._blas_threads()
-        if parent is None or parent < 2:
-            pytest.skip(f"numpy's BLAS runs {parent} threads here; nothing to pin")
+        if parent is None:
+            pytest.skip("numpy's BLAS is not its bundled scipy-openblas; nothing to set")
 
         def report(spec, seed, lam, timing=True):
             raise RuntimeError(f"blas={lrtc._blas_threads()}")
 
         monkeypatch.setattr(hs, "run_single", report)
-        text = run_experiment(self.small_spec(seeds=(0, 1)), timing=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        extra = {"task": "trpca", "missing_rate": 0.0} if task == "trpca" else {}
+        spec = self.small_spec(seeds=tuple(range(cells)), **extra)
+        lrtc._blas_threads(caller)
+        try:
+            text = run_experiment(spec, timing=False)
+            assert lrtc._blas_threads() == caller
+        finally:
+            lrtc._blas_threads(parent)
         rows = [ln.split(",") for ln in text.strip().splitlines()[1:-1]]
-        assert [r[-1] for r in rows] == ["RuntimeError: blas=1"] * 2
-        assert lrtc._blas_threads() == parent
+        assert [r[-1] for r in rows] == [f"RuntimeError: blas={blas}"] * cells
 
     def test_pool_size_follows_the_affinity_mask(self, monkeypatch):
         # a mask narrower than the machine: the pool starts one worker per
