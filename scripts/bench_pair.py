@@ -15,8 +15,9 @@ is odd. For every workload the output holds each pair's
 end-to-end metrics and failure counts, each side's median and quartiles,
 and, per metric, the number of pairs in which the head was better (by the
 direction ``BENCHMARK.json`` declares; ties count for neither side). It
-also records the CPU count, the BLAS build numpy reports, and the git tree
-id of each side's ``src/`` and its line count over ``src/**/*.py``
+also records the CPU count, the CPUs this process may run on, the BLAS
+build numpy reports, each side's full commit id, and the git tree id of
+each side's ``src/`` and its line count over ``src/**/*.py``
 (``base_src_lines``, ``head_src_lines``; newlines, as ``wc -l`` counts).
 To measure uncommitted work, stage it and pass ``--head $(git stash
 create)``. The exports go under ``$TMPDIR``.
@@ -51,6 +52,32 @@ def export(rev, dest):
     return sha
 
 
+def export_pair(base, head, tmp, report):
+    """Export revisions `base` and `head` under `tmp`; record each side's
+    commit, ``src/`` tree id and ``src/`` line count in `report` and return
+    the two trees by side."""
+    trees = {side: tmp / side for side in ("base", "head")}
+    for side, rev in (("base", base), ("head", head)):
+        report[side] = export(rev, trees[side])
+        # the tree id names the measured sources whatever commit holds them
+        report[f"{side}_src_tree"] = subprocess.run(
+            ["git", "rev-parse", f"{report[side]}:src"], cwd=ROOT, check=True,
+            capture_output=True, text=True).stdout.strip()
+        report[f"{side}_src_lines"] = sum(
+            path.read_bytes().count(b"\n") for path in (trees[side] / "src").rglob("*.py"))
+    return trees
+
+
+def run_pair(i, run):
+    """Pair `i` of results ``run(side)``: the base runs first when `i` is
+    even and the head first when it is odd."""
+    order = ("base", "head") if i % 2 == 0 else ("head", "base")
+    pair = {"first": order[0]}
+    for side in order:
+        pair[side] = run(side)
+    return pair
+
+
 def run_once(tree, workload, seed, seconds):
     """One benchmark run in `tree`; returns its parsed JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -83,9 +110,18 @@ def summarize(pairs, better):
     return out
 
 
-def blas_build():
+def header(argv):
+    """The command line and the machine, numpy and BLAS build it ran on."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
-    return {key: deps.get(key, {}) for key in ("blas", "lapack")}
+    return {
+        "argv": sys.argv[1:] if argv is None else list(argv),
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_build": {key: deps.get(key, {}) for key in ("blas", "lapack")},
+    }
 
 
 def main(argv=None):
@@ -102,34 +138,13 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    report = {
-        "argv": sys.argv[1:] if argv is None else list(argv),
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_build": blas_build(),
-        "seed": args.seed,
-        "seconds": seconds,
-        "workloads": {},
-    }
+    report = {**header(argv), "seed": args.seed, "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("base", "head")}
-        for side, rev in (("base", args.base), ("head", args.head)):
-            report[side] = export(rev, trees[side])
-            # the tree id names the measured sources whatever commit holds them
-            report[f"{side}_src_tree"] = subprocess.run(
-                ["git", "rev-parse", f"{report[side]}:src"], cwd=ROOT, check=True,
-                capture_output=True, text=True).stdout.strip()
-            report[f"{side}_src_lines"] = sum(
-                path.read_bytes().count(b"\n") for path in (trees[side] / "src").rglob("*.py"))
+        trees = export_pair(args.base, args.head, Path(tmp), report)
         for workload in args.workload:
             pairs = []
             for i in range(PAIRS):
-                order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {"first": order[0]}
-                for side in order:
-                    pair[side] = run_once(trees[side], workload, args.seed, seconds)
+                pair = run_pair(i, lambda side: run_once(trees[side], workload, args.seed, seconds))
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{PAIRS}: "
                       + ", ".join(f"{s} {pair[s]['metrics']}" for s in ("base", "head")),

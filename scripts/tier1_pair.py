@@ -1,95 +1,81 @@
-"""Time the acceptance gate's slowest tests on two source trees, alternately.
+"""Time the acceptance gate's slowest tests on two commits, alternately.
 
-Run from the repository root, with the tree to compare against exported
-somewhere (for example with ``git archive``):
+Run from the repository root:
 
-    python3 scripts/tier1_pair.py BASE_SRC HEAD_SRC --out BENCH_<n>_tier1.json
+    python3 scripts/tier1_pair.py --base HEAD~1 --head HEAD --out BENCH_<n>_tier1.json
 
 Gate tests c5, c6 and c8 are the bulk of the tier-1 run's wall time. Each
-runs in its own fresh ``python -m pytest`` process, from the root of the
-tree whose ``src/`` is given (its parent directory, so each side runs its
-own ``tests/test_acceptance.py``), with ``PYTHONPATH`` set to that
-``src/`` and ``OPENBLAS_NUM_THREADS`` removed from the environment, as
-the tier-1 verify command runs them. Pair i runs the base first when i is
-even and the head first when it is odd, test by test. For every run the
-output holds the test's call time as pytest reports it (``call_s``) and
-the wall time of its process (``process_s``), and per test and side the
-median of each; it also records the CPU count, the CPUs this process may
-run on, the BLAS build numpy reports and each side's line count over
-``src/**/*.py`` (``base_src_lines``, ``head_src_lines``). A test that
-fails stops the script with its output.
+revision is exported as ``scripts/bench_pair.py`` exports it, and each
+test runs in its own fresh ``python -m pytest`` process from the root of
+each side's tree (so each side runs its own ``tests/test_acceptance.py``),
+with ``PYTHONPATH`` set to that tree's ``src/`` and
+``OPENBLAS_NUM_THREADS`` removed from the environment, as the tier-1
+verify command runs them. The pairs alternate as bench_pair's do, test by
+test, and there are as many. For every run the output holds the test's
+call time as pytest reports it (``call_s``) and the wall time of its
+process (``process_s``), and per test and side the median of each; it
+also holds bench_pair's header: the machine, the BLAS build, and each
+side's commit, ``src/`` tree id and ``src/`` line count. A test that fails
+stops the script with its output.
 """
 
 import argparse
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_pair import PAIRS, export_pair, header, run_pair
+
 TESTS = ("test_c5_", "test_c6_", "test_c8_")
 
 
-def run_once(src, test):
-    """One pytest process for the gate test whose name starts with `test`."""
+def run_once(tree, test):
+    """One pytest process in `tree` for the gate test whose name starts with `test`."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(src)
+    env["PYTHONPATH"] = str(tree / "src")
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=1",
            "--durations-min=0", "-k", test, "tests/test_acceptance.py"]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=src.parent, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     process_s = time.perf_counter() - start
     if proc.returncode != 0 or not re.search(r"^1 passed", proc.stdout, re.M):
-        raise RuntimeError(f"{' '.join(cmd)} in {src.parent} failed:\n{proc.stdout}{proc.stderr}")
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stdout}{proc.stderr}")
     call_s = float(re.search(r"([\d.]+)s call ", proc.stdout).group(1))
     return {"call_s": call_s, "process_s": process_s}
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("base_src", type=Path, help="src/ of the tree measured as the parent")
-    p.add_argument("head_src", type=Path, help="src/ of the tree measured as the change")
-    p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--base", required=True, help="git revision measured as the parent")
+    p.add_argument("--head", required=True, help="git revision measured as the change")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
-    srcs = {"base": args.base_src.resolve(), "head": args.head_src.resolve()}
 
-    deps = np.show_config(mode="dicts")["Build Dependencies"]
-    report = {
-        "argv": sys.argv[1:] if argv is None else list(argv),
-        "cpu_count": os.cpu_count(),
-        "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_build": {key: deps.get(key, {}) for key in ("blas", "lapack")},
-        "OPENBLAS_NUM_THREADS": "unset",
-        **{f"{side}_src_lines": sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
-           for side, src in srcs.items()},
-        "tests": {test.strip("_"): {"runs": []} for test in TESTS},
-    }
-    for i in range(args.pairs):
-        order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        for test in TESTS:
-            run = {"first": order[0]}
-            for side in order:
-                run[side] = run_once(srcs[side], test)
-            entry = report["tests"][test.strip("_")]
-            entry["runs"].append(run)
-            entry["median"] = {
-                side: {key: float(np.median([r[side][key] for r in entry["runs"]]))
-                       for key in ("call_s", "process_s")}
-                for side in ("base", "head")
-            }
-            print(f"{test} pair {i + 1}/{args.pairs}: "
-                  + ", ".join(f"{s} {run[s]['call_s']:.1f} s" for s in ("base", "head")),
-                  file=sys.stderr, flush=True)
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    report = {**header(argv), "OPENBLAS_NUM_THREADS": "unset",
+              "tests": {test.strip("_"): {"runs": []} for test in TESTS}}
+    with tempfile.TemporaryDirectory(prefix="tier1_pair-") as tmp:
+        trees = export_pair(args.base, args.head, Path(tmp), report)
+        for i in range(PAIRS):
+            for test in TESTS:
+                pair = run_pair(i, lambda side: run_once(trees[side], test))
+                entry = report["tests"][test.strip("_")]
+                entry["runs"].append(pair)
+                entry["median"] = {
+                    side: {key: float(np.median([r[side][key] for r in entry["runs"]]))
+                           for key in ("call_s", "process_s")}
+                    for side in ("base", "head")
+                }
+                print(f"{test} pair {i + 1}/{PAIRS}: "
+                      + ", ".join(f"{s} {pair[s]['call_s']:.1f} s" for s in ("base", "head")),
+                      file=sys.stderr, flush=True)
+            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
